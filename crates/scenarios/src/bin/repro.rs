@@ -61,6 +61,7 @@
 use geonet_attack::IntraAreaAttacker;
 use geonet_radio::RangeProfile;
 use geonet_scenarios::config::Scale;
+use geonet_scenarios::driver::Observers;
 use geonet_scenarios::forensics::{top_nodes, AttributionReport};
 use geonet_scenarios::report::{
     drop_breakdown, render_table, series_to_csv, to_csv, ExperimentRow,
@@ -415,6 +416,19 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Options, String
     })
 }
 
+/// Writes trace records to `path` as JSONL; errors name the `flag` that
+/// asked for the file.
+fn write_jsonl(flag: &str, path: &str, records: &[TraceRecord]) -> Result<(), String> {
+    let err = |e: std::io::Error| format!("{flag} {path}: {e}");
+    let file = std::fs::File::create(path).map_err(err)?;
+    let mut jsonl = JsonlSink::new(std::io::BufWriter::new(file));
+    for r in records {
+        jsonl.record(r.at, r.node, &r.event);
+    }
+    jsonl.into_inner().map_err(err)?;
+    Ok(())
+}
+
 /// One traced, attacked run per attack family: JSONL dumps for
 /// `--trace`, attribution tables and busiest-node counters for
 /// `--forensics`.
@@ -429,33 +443,20 @@ fn forensic_pass(opts: &Options) -> Result<(), String> {
         // transmits under a name of its own.
         let attacker = match family {
             "interarea" => {
-                let _ = interarea::run_one_traced(
-                    &cfg.with_attack_range(486.0),
-                    true,
-                    opts.seed,
-                    sink.clone(),
-                );
+                let traced = Observers::traced(sink.clone());
+                interarea::drive(&cfg.with_attack_range(486.0), true, opts.seed, traced, |_, _| {});
                 None
             }
             _ => {
-                let _ = intraarea::run_one_traced(
-                    &cfg.with_attack_range(500.0),
-                    true,
-                    opts.seed,
-                    sink.clone(),
-                );
+                let traced = Observers::traced(sink.clone());
+                intraarea::drive(&cfg.with_attack_range(500.0), true, opts.seed, traced, |_, _| {});
                 Some(IntraAreaAttacker::DEFAULT_PSEUDONYM.to_u64())
             }
         };
         let records = sink.borrow().records().to_vec();
         if let Some(prefix) = &opts.trace {
             let path = format!("{prefix}.{family}.jsonl");
-            let file = std::fs::File::create(&path).map_err(|e| format!("--trace {path}: {e}"))?;
-            let mut jsonl = JsonlSink::new(std::io::BufWriter::new(file));
-            for r in &records {
-                jsonl.record(r.at, r.node, &r.event);
-            }
-            jsonl.into_inner().map_err(|e| format!("--trace {path}: {e}"))?;
+            write_jsonl("--trace", &path, &records)?;
             eprintln!("# trace: {} events -> {path}", records.len());
         }
         if opts.forensics {
@@ -491,7 +492,9 @@ fn telemetry_pass(opts: &Options) -> Result<(), String> {
         .with_duration(SimDuration::from_secs(opts.scale.duration_s));
     progress::begin_setting("telemetry", 1);
     let t0 = std::time::Instant::now();
-    let (bins, events) = interarea::run_one_metered(&cfg, true, opts.seed, registry.clone());
+    let metered = Observers { telemetry: Some(registry.clone()), ..Observers::default() };
+    let run = interarea::drive(&cfg, true, opts.seed, metered, |_, _| {});
+    let (bins, events) = (interarea::outcomes_to_bins(&run.outcomes, cfg.duration), run.events);
     let wall = t0.elapsed().as_secs_f64();
     {
         let mut reg = registry.borrow_mut();
@@ -572,29 +575,22 @@ fn audit_pass(opts: &Options, prefix: &str) -> Result<(), String> {
         let sink = shared(VecSink::new());
         let auditor = shared_auditor(SimDuration::from_secs(1));
         let trace_sink: SharedSink = sink.clone();
-        let _ = interarea::run_one_audited(
-            &cfg,
-            attacked,
-            opts.seed,
-            Some(trace_sink),
-            auditor.clone(),
-        );
+        let audited = Observers {
+            trace: Some(trace_sink),
+            auditor: Some(auditor.clone()),
+            ..Observers::default()
+        };
+        interarea::drive(&cfg, attacked, opts.seed, audited, |_, _| {});
         let artifact = auditor.borrow().to_artifact();
         let audit_path = format!("{prefix}.{variant}.audit.json");
         std::fs::write(&audit_path, artifact.to_json())
             .map_err(|e| format!("--audit {audit_path}: {e}"))?;
         let records = sink.borrow().records().to_vec();
         let trace_path = format!("{prefix}.{variant}.trace.jsonl");
-        let file =
-            std::fs::File::create(&trace_path).map_err(|e| format!("--audit {trace_path}: {e}"))?;
-        let mut jsonl = JsonlSink::new(std::io::BufWriter::new(file));
-        for r in &records {
-            jsonl.record(r.at, r.node, &r.event);
-        }
-        jsonl.into_inner().map_err(|e| format!("--audit {trace_path}: {e}"))?;
+        write_jsonl("--audit", &trace_path, &records)?;
         eprintln!(
             "# audit: {} checkpoints -> {audit_path}, {} events -> {trace_path}",
-            artifact.checkpoints.len(),
+            artifact.entries.len(),
             records.len()
         );
     }
@@ -691,7 +687,7 @@ fn topology_pass(opts: &Options, prefix: &str) -> Result<(), String> {
         let base = format!("{prefix}.{variant}");
         write(format!("{base}.topo.json"), &r.topo.to_json())?;
         let mut dot = String::new();
-        for s in &r.topo.snapshots {
+        for s in &r.topo.entries {
             dot.push_str(&s.to_dot());
         }
         write(format!("{base}.topo.dot"), &dot)?;
@@ -700,7 +696,7 @@ fn topology_pass(opts: &Options, prefix: &str) -> Result<(), String> {
         eprintln!(
             "# topology: {} snapshots -> {base}.topo.json/.dot, \
              {} packets -> {base}.heatmap.json/.csv",
-            r.topo.snapshots.len(),
+            r.topo.entries.len(),
             r.packets.len()
         );
     }
@@ -762,20 +758,14 @@ fn check_invariants_pass(opts: &Options) -> Result<(), String> {
             let checker = shared(InvariantChecker::new(params));
             match family {
                 "interarea" => {
-                    let _ = interarea::run_one_traced(
-                        &cfg.with_attack_range(486.0),
-                        attacked,
-                        opts.seed,
-                        checker.clone(),
-                    );
+                    let cfg = cfg.with_attack_range(486.0);
+                    let traced = Observers::traced(checker.clone());
+                    interarea::drive(&cfg, attacked, opts.seed, traced, |_, _| {});
                 }
                 _ => {
-                    let _ = intraarea::run_one_traced(
-                        &cfg.with_attack_range(500.0),
-                        attacked,
-                        opts.seed,
-                        checker.clone(),
-                    );
+                    let cfg = cfg.with_attack_range(500.0);
+                    let traced = Observers::traced(checker.clone());
+                    intraarea::drive(&cfg, attacked, opts.seed, traced, |_, _| {});
                 }
             }
             let c = checker.borrow();

@@ -20,17 +20,10 @@
 //! Artifacts export as CSV (dense grid, for plotting) and JSON (sparse,
 //! round-trips byte-identically through [`RoadHeatmap::from_json`]).
 
-use geonet_sim::telemetry::json::{self, Value};
+use geonet_sim::telemetry::json;
 use geonet_sim::{DropReason, SimDuration, SimTime, TopoArtifact, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Shortest `f64` representation that round-trips (same contract as the
-/// trace/telemetry/topo encoders).
-fn format_f64(x: f64) -> String {
-    assert!(x.is_finite(), "cannot serialize non-finite float {x}");
-    format!("{x:?}")
-}
 
 // ---------------------------------------------------------------------
 // Cells and the grid
@@ -162,11 +155,7 @@ impl RoadHeatmap {
     /// Panics if the key or value contains a quote or backslash (the
     /// encoder never escapes).
     pub fn set_meta(&mut self, key: &str, value: impl Into<String>) {
-        let value = value.into();
-        for s in [key, value.as_str()] {
-            assert!(!s.contains('"') && !s.contains('\\'), "meta must not need escaping: {s:?}");
-        }
-        self.meta.insert(key.to_string(), value);
+        json::insert_meta(&mut self.meta, key, value.into());
     }
 
     /// The run metadata.
@@ -299,10 +288,10 @@ impl RoadHeatmap {
                 let _ = write!(
                     out,
                     "{},{},{},{},{},{}",
-                    format_f64(xl),
-                    format_f64(xh),
-                    format_f64(tl),
-                    format_f64(th),
+                    json::format_f64(xl),
+                    json::format_f64(xh),
+                    json::format_f64(tl),
+                    json::format_f64(th),
                     c.generated,
                     c.delivered
                 );
@@ -326,21 +315,14 @@ impl RoadHeatmap {
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::from("{\"meta\":{");
-        let mut first = true;
-        for (k, v) in &self.meta {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{k}\":\"{v}\"");
-        }
+        let mut out = String::from("{\"meta\":");
+        json::write_meta(&mut out, &self.meta);
         let _ = write!(
             out,
-            "}},\"x_bin_m\":{},\"t_bin_us\":{},\"road_length_m\":{},\"duration_us\":{},\"cells\":[",
-            format_f64(self.x_bin),
+            ",\"x_bin_m\":{},\"t_bin_us\":{},\"road_length_m\":{},\"duration_us\":{},\"cells\":[",
+            json::format_f64(self.x_bin),
             self.t_bin.as_micros(),
-            format_f64(self.road_length),
+            json::format_f64(self.road_length),
             self.duration.as_micros()
         );
         let mut first = true;
@@ -382,22 +364,9 @@ impl RoadHeatmap {
     /// JSON, out-of-range cell indices or duplicate cells.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let v = json::parse(text)?;
-        let fields = v.as_object("heatmap artifact")?;
-        let get = |name: &str| -> Result<&Value, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("heatmap artifact missing {name:?}"))
-        };
-        let mut meta = BTreeMap::new();
-        for (k, v) in get("meta")?.as_object("meta")? {
-            if let Value::String(s) = v {
-                meta.insert(k.clone(), s.clone());
-            } else {
-                return Err(format!("meta value for {k:?} is not a string"));
-            }
-        }
+        v.as_object("heatmap artifact")?;
+        let get = |name: &str| v.field(name);
+        let meta = json::parse_meta(get("meta")?)?;
         let x_bin = get("x_bin_m")?.as_f64("x_bin_m")?;
         let t_bin = SimDuration::from_micros(get("t_bin_us")?.as_u64("t_bin_us")?);
         let road_length = get("road_length_m")?.as_f64("road_length_m")?;
@@ -411,15 +380,10 @@ impl RoadHeatmap {
         let mut map = RoadHeatmap::with_bins(road_length, duration, x_bin, t_bin);
         map.meta = meta;
         for cell in get("cells")?.as_array("cells")? {
-            let cf = cell.as_object("cell")?;
-            let cg = |name: &str| -> Result<&Value, String> {
-                cf.iter()
-                    .find(|(k, _)| k == name)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| format!("cell missing {name:?}"))
-            };
-            let xi = cg("xi")?.as_u64("xi")? as usize;
-            let ti = cg("ti")?.as_u64("ti")? as usize;
+            cell.as_object("cell")?;
+            let cg = |name: &str| cell.field(name);
+            let xi: usize = cg("xi")?.as_uint("xi")?;
+            let ti: usize = cg("ti")?.as_uint("ti")?;
             if xi >= map.nx || ti >= map.nt {
                 return Err(format!("cell ({xi},{ti}) outside the {}x{} grid", map.nx, map.nt));
             }
@@ -632,11 +596,11 @@ pub struct BlastRadiusReport {
 }
 
 fn partition_fraction(t: &TopoArtifact) -> f64 {
-    if t.snapshots.is_empty() {
+    if t.entries.is_empty() {
         return 0.0;
     }
-    let parted = t.snapshots.iter().filter(|s| s.partitions > 1).count();
-    parted as f64 / t.snapshots.len() as f64
+    let parted = t.entries.iter().filter(|s| s.partitions > 1).count();
+    parted as f64 / t.entries.len() as f64
 }
 
 impl BlastRadiusReport {
@@ -663,10 +627,9 @@ impl BlastRadiusReport {
         let attacker_ids = |s: &geonet_sim::TopoSnapshot| {
             s.nodes.iter().filter(|n| n.attacker).map(|n| n.id).collect::<Vec<_>>()
         };
-        let with_attacker =
-            atk_topo.snapshots.iter().filter(|s| !attacker_ids(s).is_empty()).count();
+        let with_attacker = atk_topo.entries.iter().filter(|s| !attacker_ids(s).is_empty()).count();
         let local_max_hits = atk_topo
-            .snapshots
+            .entries
             .iter()
             .filter(|s| attacker_ids(s).iter().any(|id| s.local_max.contains(id)))
             .count();
@@ -677,7 +640,7 @@ impl BlastRadiusReport {
         let mut poisoned_n = 0usize;
         let mut poisoned_total = 0u64;
         let mut poisoned_in_cov = 0u64;
-        for s in &atk_topo.snapshots {
+        for s in &atk_topo.entries {
             let legit = s.nodes.iter().filter(|n| !n.attacker).count();
             if legit == 0 {
                 continue;
@@ -706,7 +669,7 @@ impl BlastRadiusReport {
         // claims one node id right after the initial vehicles: an
         // attacker-free id at or above it maps one slot up.
         let attacker_id = atk_topo
-            .snapshots
+            .entries
             .iter()
             .flat_map(|s| s.nodes.iter().filter(|n| n.attacker).map(|n| n.id))
             .min();
@@ -715,7 +678,7 @@ impl BlastRadiusReport {
             _ => id,
         };
         let mut displaced = std::collections::BTreeSet::new();
-        for (a, b) in af_topo.snapshots.iter().zip(&atk_topo.snapshots) {
+        for (a, b) in af_topo.entries.iter().zip(&atk_topo.entries) {
             let covered: std::collections::BTreeSet<u32> =
                 b.coverage.iter().flat_map(|c| c.covered.iter().copied()).collect();
             for &id in &a.articulation {
@@ -960,7 +923,7 @@ mod tests {
         let af = TopoArtifact {
             meta: BTreeMap::new(),
             interval: SimDuration::from_secs(1),
-            snapshots: vec![snap(
+            entries: vec![snap(
                 t(1),
                 vec![
                     TopoNode::new(0, 0.0, 0.0, 150.0, false),
@@ -973,7 +936,7 @@ mod tests {
         let atk = TopoArtifact {
             meta: BTreeMap::new(),
             interval: SimDuration::from_secs(1),
-            snapshots: vec![snap(
+            entries: vec![snap(
                 t(1),
                 vec![
                     TopoNode::new(0, 0.0, 0.0, 150.0, false),
@@ -992,7 +955,7 @@ mod tests {
         let report = BlastRadiusReport::build(&af, &atk, &diff, 10, 9);
         assert_eq!(report.hot_bins.len(), 1);
         assert!(report.partition_fraction_af < report.partition_fraction_atk);
-        assert!(report.attacker_local_max_fraction > 0.0 || !atk.snapshots[0].local_max.is_empty());
+        assert!(report.attacker_local_max_fraction > 0.0 || !atk.entries[0].local_max.is_empty());
         assert!(report.poisoned_fraction > 0.3, "{}", report.poisoned_fraction);
         assert_eq!(report.poisoned_in_coverage_fraction, 1.0);
         assert!(report.attacker_is_gradient_local_max());
@@ -1011,7 +974,7 @@ mod tests {
         let af = TopoArtifact {
             meta: BTreeMap::new(),
             interval: SimDuration::from_secs(1),
-            snapshots: vec![snap(
+            entries: vec![snap(
                 t(1),
                 vec![
                     TopoNode::new(0, 0.0, 0.0, 150.0, false),
@@ -1030,7 +993,7 @@ mod tests {
         let atk = TopoArtifact {
             meta: BTreeMap::new(),
             interval: SimDuration::from_secs(1),
-            snapshots: vec![snap(
+            entries: vec![snap(
                 t(1),
                 vec![
                     TopoNode::new(0, 0.0, 0.0, 150.0, false),

@@ -9,128 +9,73 @@
 //! average per-bin drop from the attacker-free to the attacked runs.
 
 use crate::config::{AttackerSetup, Scale, ScenarioConfig};
+use crate::driver::{Observers, Run};
 use crate::parallel;
 use crate::progress;
-use crate::report::AbResult;
+use crate::report::{empty_bins, merge_bins, AbResult};
 use crate::world::World;
+use geonet::PacketKey;
 use geonet_geo::{Area, Position};
 use geonet_radio::{AccessTechnology, NodeId, RangeProfile};
-use geonet_sim::{SharedAuditor, SharedRegistry, SharedSink, SimDuration, SimTime, TimeBins};
+use geonet_sim::{SimDuration, SimTime, TimeBins};
+
+/// One vulnerable packet's fate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketOutcome {
+    /// Generation time.
+    pub generated_at: SimTime,
+    /// Whether its destination received it by the end of the run.
+    pub delivered: bool,
+}
 
 /// Runs one seeded simulation and returns the per-bin reception counts of
 /// vulnerable packets at the destinations.
 #[must_use]
 pub fn run_one(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> TimeBins {
-    run_one_inner(cfg, attacked, seed, None, None).0
+    let run = drive(cfg, attacked, seed, Observers::default(), |_, _| {});
+    outcomes_to_bins(&run.outcomes, cfg.duration)
 }
 
-/// Like [`run_one`], with every node's [`geonet_sim::TraceEvent`]s routed
-/// to `sink` — the input of the [`crate::forensics`] reconstruction.
+/// Folds packet outcomes into 5 s time bins.
 #[must_use]
-pub fn run_one_traced(
-    cfg: &ScenarioConfig,
-    attacked: bool,
-    seed: u64,
-    sink: SharedSink,
-) -> TimeBins {
-    run_one_inner(cfg, attacked, seed, Some(sink), None).0
-}
-
-/// Like [`run_one`], with a telemetry registry attached to the world: the
-/// hot-path histograms and state-depth gauges of
-/// [`geonet_sim::telemetry`] fill up during the run, and the run's kernel
-/// event count is returned alongside the bins for throughput accounting.
-#[must_use]
-pub fn run_one_metered(
-    cfg: &ScenarioConfig,
-    attacked: bool,
-    seed: u64,
-    registry: SharedRegistry,
-) -> (TimeBins, u64) {
-    let (bins, _, _, events) = run_one_full(cfg, attacked, seed, None, Some(registry), None);
-    (bins, events)
-}
-
-/// Like [`run_one`], additionally returning the channel load of the run:
-/// `(bins, frames on air, bytes on air)`. Used by the ACK-overhead
-/// extension analysis.
-#[must_use]
-pub fn run_one_with_load(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> (TimeBins, u64, u64) {
-    run_one_inner(cfg, attacked, seed, None, None)
-}
-
-/// Like [`run_one`], with an audit recorder attached: the world samples a
-/// state-digest checkpoint at the recorder's interval, and the recorder's
-/// run metadata is stamped with the scenario parameters so a serialized
-/// artifact is self-describing. An optional trace sink may be attached
-/// too, so a divergence window reported by
-/// [`geonet_sim::diff_artifacts`] can be joined against the same run's
-/// trace.
-#[must_use]
-pub fn run_one_audited(
-    cfg: &ScenarioConfig,
-    attacked: bool,
-    seed: u64,
-    sink: Option<SharedSink>,
-    auditor: SharedAuditor,
-) -> TimeBins {
-    {
-        let mut rec = auditor.borrow_mut();
-        rec.set_meta("scenario", "interarea");
-        rec.set_meta("seed", seed.to_string());
-        rec.set_meta("attacked", attacked.to_string());
-        rec.set_meta("duration_s", cfg.duration.as_secs().to_string());
-        rec.set_meta("attack_range_m", format!("{:.1}", cfg.attack_range));
+pub fn outcomes_to_bins(outcomes: &[PacketOutcome], duration: SimDuration) -> TimeBins {
+    let mut bins = empty_bins(duration);
+    for o in outcomes {
+        bins.record(o.generated_at, o.delivered);
     }
-    run_one_full(cfg, attacked, seed, sink, None, Some(auditor)).0
+    bins
 }
 
-fn run_one_inner(
+/// The inter-area workload driver: builds the seeded world, attaches
+/// `observers`, and originates one vulnerable packet per second.
+///
+/// `on_step` sees the world after every simulated second and once more
+/// after the run drains (with `None`), and right after each origination
+/// (with the packet and its source position).
+pub fn drive(
     cfg: &ScenarioConfig,
     attacked: bool,
     seed: u64,
-    sink: Option<SharedSink>,
-    registry: Option<SharedRegistry>,
-) -> (TimeBins, u64, u64) {
-    let (bins, frames, bytes, _) = run_one_full(cfg, attacked, seed, sink, registry, None);
-    (bins, frames, bytes)
-}
-
-fn run_one_full(
-    cfg: &ScenarioConfig,
-    attacked: bool,
-    seed: u64,
-    sink: Option<SharedSink>,
-    registry: Option<SharedRegistry>,
-    auditor: Option<SharedAuditor>,
-) -> (TimeBins, u64, u64, u64) {
+    observers: Observers,
+    mut on_step: impl FnMut(&World, Option<(PacketKey, Position)>),
+) -> Run<PacketOutcome> {
     let started = progress::run_started();
-    let duration_s = cfg.duration.as_secs();
-    let mut bins = TimeBins::new(
-        SimDuration::from_secs(5),
-        usize::try_from(duration_s.div_ceil(5)).expect("bin count fits"),
-    );
     let mut w = World::new(*cfg, attacked.then_some(AttackerSetup::InterArea), seed);
-    if let Some(sink) = sink {
-        w.set_trace_sink(sink);
-    }
-    if let Some(registry) = registry {
-        w.set_telemetry(registry);
-    }
-    if let Some(auditor) = auditor {
-        w.set_auditor(auditor);
-    }
+    observers.attach(&mut w, "interarea", attacked, seed);
     let length = cfg.road.length;
     // Static destinations 20 m beyond each end (paper §IV-A), with small
-    // circular destination areas around them.
+    // circular destination areas around them. Snapshot gradients are
+    // graded toward the east one, the direction Figure 6 follows.
     let east_node = w.add_static_node(Position::new(length + 20.0, 2.5), cfg.v2v_range);
     let west_node = w.add_static_node(Position::new(-20.0, 2.5), cfg.v2v_range);
     let east_area = Area::circle(Position::new(length + 20.0, 0.0), 40.0);
     let west_area = Area::circle(Position::new(-20.0, 0.0), 40.0);
+    w.set_topo_destination(Position::new(length + 20.0, 0.0));
 
-    let mut generated: Vec<(geonet::PacketKey, SimTime, NodeId)> = Vec::new();
-    for t in 1..duration_s {
+    let mut generated: Vec<(PacketKey, SimTime, NodeId)> = Vec::new();
+    for t in 1..cfg.duration.as_secs() {
         w.run_until(SimTime::from_secs(t));
+        on_step(&w, None);
         // Sample vehicles until one can emit a *vulnerable* packet (the
         // paper generates one vulnerable packet per second); in rare
         // configurations a sampled vehicle sits where neither direction
@@ -139,29 +84,34 @@ fn run_one_full(
         for _ in 0..16 {
             let Some(vid) = w.random_on_road_vehicle() else { break };
             let node = w.vehicle_node(vid);
-            let x = w.node_position(node).x;
-            let (east_ok, west_ok) = vulnerable_directions(cfg, x);
+            let pos = w.node_position(node);
+            let (east_ok, west_ok) = vulnerable_directions(cfg, pos.x);
             let eastbound = match (east_ok, west_ok) {
                 (true, true) => w.workload_coin(),
                 (true, false) => true,
                 (false, true) => false,
                 (false, false) => continue,
             };
-            chosen = Some((node, eastbound));
+            chosen = Some((node, pos, eastbound));
             break;
         }
-        let Some((node, eastbound)) = chosen else { continue };
+        let Some((node, pos, eastbound)) = chosen else { continue };
         let (area, dest) =
             if eastbound { (&east_area, east_node) } else { (&west_area, west_node) };
         let key = w.originate_from(node, area, vec![0x5A]);
+        on_step(&w, Some((key, pos)));
         generated.push((key, w.now(), dest));
     }
     w.run_to_end();
-    for (key, gen_time, dest) in generated {
-        bins.record(gen_time, w.was_received(key, dest));
-    }
-    progress::run_completed(started, w.events_processed(), cfg.duration);
-    (bins, w.frames_on_air(), w.bytes_on_air(), w.events_processed())
+    on_step(&w, None);
+    let outcomes = generated
+        .into_iter()
+        .map(|(key, generated_at, dest)| PacketOutcome {
+            generated_at,
+            delivered: w.was_received(key, dest),
+        })
+        .collect();
+    Run::finish(&w, started, outcomes)
 }
 
 /// Runs the A/B pair for one setting at the given scale, merging bins over
@@ -169,10 +119,6 @@ fn run_one_full(
 #[must_use]
 pub fn run_ab(cfg: &ScenarioConfig, label: &str, scale: Scale, base_seed: u64) -> AbResult {
     let cfg = cfg.with_duration(scale.duration());
-    let duration_s = cfg.duration.as_secs();
-    let bin_count = usize::try_from(duration_s.div_ceil(5)).expect("bin count fits");
-    let mut baseline = TimeBins::new(SimDuration::from_secs(5), bin_count);
-    let mut attacked = TimeBins::new(SimDuration::from_secs(5), bin_count);
     progress::begin_setting(label, scale.runs * 2);
     // Independent seeded runs fan across the job pool; pairs come back in
     // seed-index order, so the merge below is byte-identical to the
@@ -181,11 +127,19 @@ pub fn run_ab(cfg: &ScenarioConfig, label: &str, scale: Scale, base_seed: u64) -
         let seed = base_seed.wrapping_add(u64::from(i) * 0x9E37);
         (run_one(&cfg, false, seed), run_one(&cfg, true, seed))
     });
-    for (a, b) in &pairs {
-        baseline.merge(a);
-        attacked.merge(b);
-    }
-    AbResult { label: label.to_string(), baseline, attacked }
+    AbResult::from_pairs(label, cfg.duration, &pairs)
+}
+
+/// Merges the bins of `scale.runs` seeded runs of one side of an A/B
+/// pair (the seeds [`run_ab`] uses).
+#[must_use]
+pub fn run_merged(cfg: &ScenarioConfig, attacked: bool, scale: Scale, seed: u64) -> TimeBins {
+    let cfg = cfg.with_duration(scale.duration());
+    let runs = parallel::run_indexed(scale.runs, |i| {
+        let s = seed.wrapping_add(u64::from(i) * 0x9E37);
+        run_one(&cfg, attacked, s)
+    });
+    merge_bins(cfg.duration, &runs)
 }
 
 /// The attack-range labels used throughout the paper's figures.

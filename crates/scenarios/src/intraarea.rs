@@ -8,15 +8,16 @@
 //! from attacker-free to attacked runs.
 
 use crate::config::{AttackerSetup, Scale, ScenarioConfig};
+use crate::driver::{Observers, Run};
 use crate::parallel;
 use crate::progress;
-use crate::report::AbResult;
+use crate::report::{empty_bins, AbResult};
 use crate::world::World;
 use geonet::PacketKey;
 use geonet_attack::BlockageMode;
 use geonet_geo::{Area, Position};
 use geonet_radio::{AccessTechnology, NodeId, RangeProfile};
-use geonet_sim::{SharedSink, SimDuration, SimTime, TimeBins};
+use geonet_sim::{SimDuration, SimTime, TimeBins};
 
 /// The GeoBroadcast destination area covering the whole road segment
 /// (both directions' lanes).
@@ -60,62 +61,57 @@ impl PacketOutcome {
 /// packet.
 #[must_use]
 pub fn run_one(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> Vec<PacketOutcome> {
-    run_one_inner(cfg, attacked, seed, None)
+    drive(cfg, attacked, seed, Observers::default(), |_, _| {}).outcomes
 }
 
-/// Like [`run_one`], with every node's [`geonet_sim::TraceEvent`]s routed
-/// to `sink` — the input of the [`crate::forensics`] reconstruction.
-#[must_use]
-pub fn run_one_traced(
+/// The intra-area workload driver: builds the seeded world, attaches
+/// `observers`, and floods one road-wide GeoBroadcast per second from a
+/// random on-road vehicle.
+///
+/// `on_step` sees the world after every simulated second and once more
+/// after the run drains (with `None`), and right after each origination
+/// (with the packet and its source position).
+pub fn drive(
     cfg: &ScenarioConfig,
     attacked: bool,
     seed: u64,
-    sink: SharedSink,
-) -> Vec<PacketOutcome> {
-    run_one_inner(cfg, attacked, seed, Some(sink))
-}
-
-fn run_one_inner(
-    cfg: &ScenarioConfig,
-    attacked: bool,
-    seed: u64,
-    sink: Option<SharedSink>,
-) -> Vec<PacketOutcome> {
+    observers: Observers,
+    mut on_step: impl FnMut(&World, Option<(PacketKey, Position)>),
+) -> Run<PacketOutcome> {
     let started = progress::run_started();
     let mode = BlockageMode::ClampRhl;
     let mut w = World::new(*cfg, attacked.then_some(AttackerSetup::IntraArea(mode)), seed);
-    if let Some(sink) = sink {
-        w.set_trace_sink(sink);
-    }
+    observers.attach(&mut w, "intraarea", attacked, seed);
     let area = road_area(cfg);
-    let duration_s = cfg.duration.as_secs();
     let mut generated: Vec<(PacketKey, SimTime, f64, Vec<NodeId>)> = Vec::new();
-    for t in 1..duration_s {
+    for t in 1..cfg.duration.as_secs() {
         w.run_until(SimTime::from_secs(t));
+        on_step(&w, None);
         let Some(vid) = w.random_on_road_vehicle() else { continue };
         let node = w.vehicle_node(vid);
         let snapshot = w.on_road_nodes();
-        let x = w.node_position(node).x;
+        let pos = w.node_position(node);
         let key = w.originate_from(node, &area, vec![0xCB]);
-        generated.push((key, w.now(), x, snapshot));
+        on_step(&w, Some((key, pos)));
+        generated.push((key, w.now(), pos.x, snapshot));
     }
     w.run_to_end();
-    progress::run_completed(started, w.events_processed(), cfg.duration);
-    generated
+    on_step(&w, None);
+    let outcomes = generated
         .into_iter()
         .map(|(key, generated_at, source_x, snapshot)| {
             let received = snapshot.iter().filter(|n| w.was_received(key, **n)).count() as u64;
             PacketOutcome { generated_at, source_x, candidates: snapshot.len() as u64, received }
         })
-        .collect()
+        .collect();
+    Run::finish(&w, started, outcomes)
 }
 
 /// Folds packet outcomes into 5 s time bins (weighted by the number of
 /// candidate receivers, as the paper's reception rate is per-vehicle).
 #[must_use]
 pub fn outcomes_to_bins(outcomes: &[PacketOutcome], duration: SimDuration) -> TimeBins {
-    let bin_count = usize::try_from(duration.as_secs().div_ceil(5)).expect("bin count fits");
-    let mut bins = TimeBins::new(SimDuration::from_secs(5), bin_count);
+    let mut bins = empty_bins(duration);
     for o in outcomes {
         bins.record_weighted(o.generated_at, o.received, o.candidates);
     }
@@ -126,9 +122,6 @@ pub fn outcomes_to_bins(outcomes: &[PacketOutcome], duration: SimDuration) -> Ti
 #[must_use]
 pub fn run_ab(cfg: &ScenarioConfig, label: &str, scale: Scale, base_seed: u64) -> AbResult {
     let cfg = cfg.with_duration(scale.duration());
-    let bin_count = usize::try_from(cfg.duration.as_secs().div_ceil(5)).expect("bin count fits");
-    let mut baseline = TimeBins::new(SimDuration::from_secs(5), bin_count);
-    let mut attacked = TimeBins::new(SimDuration::from_secs(5), bin_count);
     progress::begin_setting(label, scale.runs * 2);
     // Runs are independent per seed; bins are folded inside each job and
     // merged back in seed-index order — byte-identical to the sequential
@@ -140,11 +133,7 @@ pub fn run_ab(cfg: &ScenarioConfig, label: &str, scale: Scale, base_seed: u64) -
             outcomes_to_bins(&run_one(&cfg, true, seed), cfg.duration),
         )
     });
-    for (a, b) in &pairs {
-        baseline.merge(a);
-        attacked.merge(b);
-    }
-    AbResult { label: label.to_string(), baseline, attacked }
+    AbResult::from_pairs(label, cfg.duration, &pairs)
 }
 
 /// Figure 9a: blockage vs attack range, DSRC (wN, mN, mL and the tuned
@@ -228,37 +217,25 @@ pub fn fig9_source_split(scale: Scale, seed: u64) -> (AbResult, AbResult) {
     let half = cfg.attack_range - cfg.v2v_range; // 14 m ⇒ 28 m zone
     let lo = cfg.attacker_position.x - half;
     let hi = cfg.attacker_position.x + half;
-    let bin_count = usize::try_from(cfg.duration.as_secs().div_ceil(5)).expect("bin count fits");
     // `run_one` is pure, so each seeded A/B pair is simulated once (the
     // old loop re-ran it per `inside` value) and filtered twice below.
     let runs = parallel::run_indexed(scale.runs, |i| {
         let run_seed = seed.wrapping_add(u64::from(i) * 0x517C);
         (run_one(&cfg, false, run_seed), run_one(&cfg, true, run_seed))
     });
-    let mut result = Vec::new();
-    for inside in [true, false] {
-        let mut baseline = TimeBins::new(SimDuration::from_secs(5), bin_count);
-        let mut attacked = TimeBins::new(SimDuration::from_secs(5), bin_count);
-        for (base_outcomes, atk_outcomes) in &runs {
-            for (outcomes, bins) in [(base_outcomes, &mut baseline), (atk_outcomes, &mut attacked)]
-            {
-                let filtered: Vec<PacketOutcome> = outcomes
-                    .iter()
-                    .copied()
-                    .filter(|o| ((lo..=hi).contains(&o.source_x)) == inside)
-                    .collect();
-                bins.merge(&outcomes_to_bins(&filtered, cfg.duration));
-            }
-        }
-        result.push(AbResult {
-            label: if inside { "fully covered".into() } else { "elsewhere".into() },
-            baseline,
-            attacked,
-        });
-    }
-    let outside = result.pop().expect("two results");
-    let inside = result.pop().expect("two results");
-    (inside, outside)
+    let split = |label: &str, inside: bool| {
+        let bins = |outcomes: &[PacketOutcome]| {
+            let filtered: Vec<PacketOutcome> = outcomes
+                .iter()
+                .copied()
+                .filter(|o| ((lo..=hi).contains(&o.source_x)) == inside)
+                .collect();
+            outcomes_to_bins(&filtered, cfg.duration)
+        };
+        let pairs: Vec<_> = runs.iter().map(|(base, atk)| (bins(base), bins(atk))).collect();
+        AbResult::from_pairs(label, cfg.duration, &pairs)
+    };
+    (split("fully covered", true), split("elsewhere", false))
 }
 
 /// Figure 10: accumulated blockage-rate series for the DSRC scenarios.

@@ -15,6 +15,10 @@
 //! | [`extensions`] | beyond the paper: ACK defense, lossy channels, mobile attacker |
 //! | [`analysis`] | closed-form γ/λ predictions from the attack geometry |
 //!
+//! Each scenario has one workload driver (`interarea::drive`,
+//! `intraarea::drive`); observers (trace sink, telemetry, auditor,
+//! topology recorder) are attached through [`driver::Observers`].
+//!
 //! Campaign loops fan their independent seeded runs across worker
 //! threads via [`parallel`] (seed-indexed job pool; results merge in
 //! index order so reports stay byte-identical to the sequential path).
@@ -50,6 +54,7 @@
 
 pub mod analysis;
 pub mod config;
+pub mod driver;
 pub mod extensions;
 pub mod forensics;
 pub mod heatmap;

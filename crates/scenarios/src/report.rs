@@ -1,8 +1,26 @@
 //! Result types and report formatting for the experiment drivers.
 
-use geonet_sim::{AbComparison, DropReason, EventCounters, TimeBins};
+use geonet_sim::{AbComparison, DropReason, EventCounters, SimDuration, TimeBins};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// Empty 5 s reception bins (the paper's binning) spanning `duration`.
+pub(crate) fn empty_bins(duration: SimDuration) -> TimeBins {
+    let count = usize::try_from(duration.as_secs().div_ceil(5)).expect("bin count fits");
+    TimeBins::new(SimDuration::from_secs(5), count)
+}
+
+/// Merges per-run bins, in run order, into one set spanning `duration`.
+pub(crate) fn merge_bins<'a>(
+    duration: SimDuration,
+    runs: impl IntoIterator<Item = &'a TimeBins>,
+) -> TimeBins {
+    let mut bins = empty_bins(duration);
+    for r in runs {
+        bins.merge(r);
+    }
+    bins
+}
 
 /// The A/B outcome of one experiment setting: merged time bins of the
 /// attacker-free (A) runs and the attacked (B) runs.
@@ -17,6 +35,19 @@ pub struct AbResult {
 }
 
 impl AbResult {
+    /// Merges seeded (attacker-free, attacked) run pairs, in seed order.
+    pub(crate) fn from_pairs(
+        label: &str,
+        duration: SimDuration,
+        pairs: &[(TimeBins, TimeBins)],
+    ) -> Self {
+        AbResult {
+            label: label.to_string(),
+            baseline: merge_bins(duration, pairs.iter().map(|p| &p.0)),
+            attacked: merge_bins(duration, pairs.iter().map(|p| &p.1)),
+        }
+    }
+
     /// The paper's γ/λ statistic: average per-bin drop of the reception
     /// rate from baseline to attacked.
     #[must_use]

@@ -8,9 +8,9 @@ use geonet_attack::{InterAreaAttacker, IntraAreaAttacker};
 use geonet_geo::{Area, GeoReference, Heading, Position};
 use geonet_radio::{Medium, NodeId};
 use geonet_sim::{
-    Auditor, Checkpoint, GradientHealth, Kernel, PacketRef, SharedAuditor, SharedRegistry,
-    SharedSink, SharedTopo, SimDuration, SimRng, SimTime, StateHasher, Telemetry, TopoNode,
-    TopoObserver, TopoSnapshot, TraceEvent, Tracer, UnorderedDigest,
+    Checkpoint, GradientHealth, Kernel, PacketRef, SharedAuditor, SharedRegistry, SharedSink,
+    SharedTopo, SimDuration, SimRng, SimTime, StateHasher, Telemetry, TopoNode, TopoSnapshot,
+    TraceEvent, Tracer, UnorderedDigest,
 };
 use geonet_traffic::{Direction, TrafficSim, VehicleId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -79,8 +79,8 @@ pub struct World {
     bytes_on_air: u64,
     tracer: Tracer,
     telemetry: Telemetry,
-    auditor: Auditor,
-    topo: TopoObserver,
+    auditor: Option<SharedAuditor>,
+    topo: Option<SharedTopo>,
     /// The destination the topology observer grades gradients against
     /// (the packet sink of the running scenario, when it has one).
     topo_dest: Option<Position>,
@@ -129,8 +129,8 @@ impl World {
             bytes_on_air: 0,
             tracer: Tracer::disabled(),
             telemetry: Telemetry::disabled(),
-            auditor: Auditor::disabled(),
-            topo: TopoObserver::disabled(),
+            auditor: None,
+            topo: None,
             topo_dest: None,
             telemetry_steps: 0,
             rx_buf: Vec::new(),
@@ -244,12 +244,11 @@ impl World {
 
     /// Attaches an audit recorder; the world samples a state-digest
     /// checkpoint into it whenever one falls due (checked once per
-    /// traffic step against the recorder's sim-time interval). Like
-    /// [`World::set_telemetry`], the default is
-    /// [`Auditor::disabled`], in which case the per-step check is a
-    /// single branch and no state is ever digested.
+    /// traffic step against the recorder's sim-time interval). Detached
+    /// by default, in which case the per-step check is a single branch
+    /// and no state is ever digested.
     pub fn set_auditor(&mut self, recorder: SharedAuditor) {
-        self.auditor = Auditor::attached(recorder);
+        self.auditor = Some(recorder);
     }
 
     /// Attaches a topology recorder; the world samples a connectivity
@@ -258,7 +257,7 @@ impl World {
     /// default — the per-step check is then a single branch and no graph
     /// is ever built.
     pub fn set_topo_observer(&mut self, recorder: SharedTopo) {
-        self.topo = TopoObserver::attached(recorder);
+        self.topo = Some(recorder);
     }
 
     /// Sets the destination against which snapshot gradients are graded
@@ -313,10 +312,12 @@ impl World {
         TopoSnapshot::build(now, self.topo_dest.map(|p| (p.x, p.y)), nodes)
     }
 
-    /// Records a topology snapshot if one is due (no-op when disabled).
-    fn sample_topo(&mut self) {
-        if self.topo.due(self.kernel.now()) {
-            self.topo.record(self.topo_snapshot());
+    /// Records a topology snapshot if one is due (no-op when detached).
+    fn sample_topo(&self) {
+        if let Some(rec) = &self.topo {
+            if rec.borrow().due(self.kernel.now()) {
+                rec.borrow_mut().record(self.topo_snapshot());
+            }
         }
     }
 
@@ -389,10 +390,12 @@ impl World {
         b.finish()
     }
 
-    /// Records an audit checkpoint if one is due (no-op when disabled).
-    fn sample_audit(&mut self) {
-        if self.auditor.due(self.kernel.now()) {
-            self.auditor.record(self.audit_checkpoint());
+    /// Records an audit checkpoint if one is due (no-op when detached).
+    fn sample_audit(&self) {
+        if let Some(rec) = &self.auditor {
+            if rec.borrow().due(self.kernel.now()) {
+                rec.borrow_mut().record(self.audit_checkpoint());
+            }
         }
     }
 
@@ -1134,8 +1137,8 @@ mod tests {
         w.run_until(SimTime::from_secs(9));
         let rec = recorder.borrow();
         // 20 s horizon sampled every 2 s of the first 9: t≈0.1,2,4,6,8.
-        assert!(rec.snapshots().len() >= 4, "only {} snapshots", rec.snapshots().len());
-        let last = rec.snapshots().last().unwrap();
+        assert!(rec.entries().len() >= 4, "only {} snapshots", rec.entries().len());
+        let last = rec.entries().last().unwrap();
         // The attacker is present, flagged and covering vehicles.
         assert_eq!(last.coverage.len(), 1);
         assert!(last.coverage[0].fraction > 0.0, "attacker covers nobody");
@@ -1163,6 +1166,26 @@ mod tests {
             (w.events_processed(), w.frames_on_air(), w.audit_checkpoint().combined)
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn auditor_samples_at_its_interval_without_perturbing_the_run() {
+        let auditor = geonet_sim::shared_auditor(SimDuration::from_secs(1));
+        let run = |attach: bool| {
+            let mut w = World::new(short_cfg(), Some(AttackerSetup::InterArea), 13);
+            if attach {
+                w.set_auditor(auditor.clone());
+            }
+            w.run_until(SimTime::from_secs(5));
+            (w.events_processed(), w.frames_on_air(), w.audit_checkpoint().combined)
+        };
+        assert_eq!(run(false), run(true));
+        let rec = auditor.borrow();
+        // Sampled on traffic steps: t≈0.1, 1.1, 2.1, 3.1, 4.1.
+        assert_eq!(rec.entries().len(), 5);
+        for pair in rec.entries().windows(2) {
+            assert!(pair[1].at - pair[0].at >= SimDuration::from_secs(1));
+        }
     }
 
     #[test]

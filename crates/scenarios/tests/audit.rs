@@ -2,6 +2,7 @@
 //! real scenario runs, artifact round-trips, divergence diffing, and the
 //! online invariant checker over real traces.
 
+use geonet_scenarios::driver::Observers;
 use geonet_scenarios::{interarea, intraarea, ScenarioConfig};
 use geonet_sim::{
     diff_artifacts, shared, shared_auditor, AuditArtifact, InvariantChecker, InvariantParams,
@@ -20,9 +21,10 @@ fn params(cfg: &ScenarioConfig) -> InvariantParams {
 
 fn audited_artifact(cfg: &ScenarioConfig, attacked: bool, seed: u64) -> AuditArtifact {
     let auditor = shared_auditor(SimDuration::from_secs(1));
-    let _ = interarea::run_one_audited(cfg, attacked, seed, None, auditor.clone());
+    let audited = Observers { auditor: Some(auditor.clone()), ..Observers::default() };
+    interarea::drive(cfg, attacked, seed, audited, |_, _| {});
     let artifact = auditor.borrow().to_artifact();
-    assert!(!artifact.checkpoints.is_empty(), "a 5 s run must produce checkpoints");
+    assert!(!artifact.entries.is_empty(), "a 5 s run must produce checkpoints");
     artifact
 }
 
@@ -86,16 +88,16 @@ fn invariant_checker_passes_on_shipped_scenarios() {
     let cfg = short_cfg();
     for attacked in [false, true] {
         let checker = shared(InvariantChecker::new(params(&cfg)));
-        let _ =
-            interarea::run_one_traced(&cfg.with_attack_range(486.0), attacked, 42, checker.clone());
+        let traced = Observers::traced(checker.clone());
+        interarea::drive(&cfg.with_attack_range(486.0), attacked, 42, traced, |_, _| {});
         let c = checker.borrow();
         assert!(c.ok(), "interarea attacked={attacked}: {}", c.summary());
         assert!(c.events_checked() > 0);
     }
     for attacked in [false, true] {
         let checker = shared(InvariantChecker::new(params(&cfg)));
-        let _ =
-            intraarea::run_one_traced(&cfg.with_attack_range(500.0), attacked, 42, checker.clone());
+        let traced = Observers::traced(checker.clone());
+        intraarea::drive(&cfg.with_attack_range(500.0), attacked, 42, traced, |_, _| {});
         let c = checker.borrow();
         assert!(c.ok(), "intraarea attacked={attacked}: {}", c.summary());
         assert!(c.events_checked() > 0);
@@ -109,7 +111,7 @@ fn invariant_checker_passes_on_shipped_scenarios() {
 fn injected_duplicate_forward_is_caught() {
     let cfg = short_cfg().with_attack_range(500.0);
     let sink = shared(VecSink::new());
-    let _ = intraarea::run_one_traced(&cfg, true, 42, sink.clone());
+    intraarea::drive(&cfg, true, 42, Observers::traced(sink.clone()), |_, _| {});
     let records = sink.borrow().records().to_vec();
     let fired = records
         .iter()

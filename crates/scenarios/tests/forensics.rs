@@ -5,6 +5,7 @@
 use geonet::{CertificateAuthority, GnAddress, GnConfig, GnRouter, RouterAction};
 use geonet_attack::{BlockageMode, IntraAreaAttacker};
 use geonet_geo::{Area, GeoReference, Heading, Position};
+use geonet_scenarios::driver::Observers;
 use geonet_scenarios::forensics::{hop_traces, AttributionReport, PacketFate};
 use geonet_scenarios::{interarea, ScenarioConfig};
 use geonet_sim::{
@@ -96,7 +97,8 @@ fn interception_world_run_attributes_losses_to_phantom_next_hops() {
         .with_attack_range(486.0)
         .with_duration(SimDuration::from_secs(20));
     let sink = shared(VecSink::new());
-    let bins = interarea::run_one_traced(&cfg, true, 42, sink.clone());
+    let run = interarea::drive(&cfg, true, 42, Observers::traced(sink.clone()), |_, _| {});
+    let bins = interarea::outcomes_to_bins(&run.outcomes, cfg.duration);
     let records = sink.borrow().records().to_vec();
     assert!(!records.is_empty());
 

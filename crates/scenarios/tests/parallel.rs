@@ -8,6 +8,7 @@
 //! byte comparisons (every counter, every bin).
 
 use geonet_scenarios::config::Scale;
+use geonet_scenarios::driver::Observers;
 use geonet_scenarios::{interarea, intraarea, mitigation, parallel, ScenarioConfig};
 use geonet_sim::{shared_auditor, SimDuration};
 
@@ -71,13 +72,8 @@ fn campaigns_and_audits_are_byte_identical_across_jobs() {
             parallel::run_indexed(3, |i| {
                 let cfg = cfg.with_duration(SimDuration::from_secs(20));
                 let auditor = shared_auditor(SimDuration::from_secs(5));
-                let _ = interarea::run_one_audited(
-                    &cfg,
-                    true,
-                    42 + u64::from(i),
-                    None,
-                    auditor.clone(),
-                );
+                let audited = Observers { auditor: Some(auditor.clone()), ..Observers::default() };
+                interarea::drive(&cfg, true, 42 + u64::from(i), audited, |_, _| {});
                 let json = auditor.borrow().to_artifact().to_json();
                 json
             })

@@ -10,11 +10,11 @@
 //!   RNG stream positions, per-node LocT/CBF/duplicate-cache contents,
 //!   vehicle kinematics, radio entries, delivery sets — into one `u64`
 //!   per component. A [`Checkpoint`] collects the per-component hashes
-//!   at one simulation time; an [`AuditRecorder`] accumulates a
-//!   checkpoint timeline at a configurable sim-time interval. Worlds
-//!   hold a cheap [`Auditor`] handle that mirrors
-//!   [`Tracer`](crate::trace::Tracer): disabled by default, a single
-//!   branch per traffic step when detached.
+//!   at one simulation time; a [`SharedAuditor`] (a
+//!   [`Recorder`] of checkpoints) accumulates
+//!   a checkpoint timeline at a configurable sim-time interval. A world
+//!   holds one optionally: detached, the per-traffic-step check is a
+//!   single branch.
 //!
 //! * **Record / diff.** The timeline plus free-form run metadata
 //!   serializes to a `.audit.json` artifact ([`AuditArtifact`], same
@@ -49,9 +49,10 @@
 //! h.write_u64(42);
 //! b.push("rng", h.finish());
 //! auditor.borrow_mut().record(b.finish());
-//! assert_eq!(auditor.borrow().checkpoints().len(), 1);
+//! assert_eq!(auditor.borrow().entries().len(), 1);
 //! ```
 
+use crate::recorder::{Artifact, Recorder, Sample};
 use crate::telemetry::json;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{PacketRef, TraceEvent, TraceRecord, TraceSink};
@@ -241,273 +242,88 @@ impl CheckpointBuilder {
     }
 }
 
-/// Collects a digest timeline at a fixed sim-time interval, plus
-/// free-form run metadata (seed, scenario, attack setup…).
-#[derive(Debug)]
-pub struct AuditRecorder {
-    interval: SimDuration,
-    next_due: SimTime,
-    meta: BTreeMap<String, String>,
-    checkpoints: Vec<Checkpoint>,
-}
-
-impl AuditRecorder {
-    /// Creates a recorder sampling every `interval` of simulation time
-    /// (the first checkpoint is due immediately).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    #[must_use]
-    pub fn new(interval: SimDuration) -> Self {
-        assert!(interval > SimDuration::ZERO, "audit interval must be positive");
-        AuditRecorder {
-            interval,
-            next_due: SimTime::ZERO,
-            meta: BTreeMap::new(),
-            checkpoints: Vec::new(),
-        }
-    }
-
-    /// The sampling interval.
-    #[must_use]
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
-    /// Attaches one metadata key (seed, scenario label, …). Values must
-    /// stay free of `"` and `\` — the artifact encoding is escape-free.
-    pub fn set_meta(&mut self, key: &str, value: impl Into<String>) {
-        let value = value.into();
-        assert!(
-            !key.contains(['"', '\\']) && !value.contains(['"', '\\']),
-            "audit metadata must not contain quotes or backslashes"
-        );
-        self.meta.insert(key.to_string(), value);
-    }
-
-    /// Whether a checkpoint is due at `now`.
-    #[must_use]
-    pub fn due(&self, now: SimTime) -> bool {
-        now >= self.next_due
-    }
-
-    /// Appends a checkpoint and advances the next due time.
-    pub fn record(&mut self, checkpoint: Checkpoint) {
-        self.next_due = checkpoint.at + self.interval;
-        self.checkpoints.push(checkpoint);
-    }
-
-    /// The recorded timeline.
-    #[must_use]
-    pub fn checkpoints(&self) -> &[Checkpoint] {
-        &self.checkpoints
-    }
-
-    /// Snapshots the recorder into a serializable artifact.
-    #[must_use]
-    pub fn to_artifact(&self) -> AuditArtifact {
-        AuditArtifact {
-            meta: self.meta.clone(),
-            interval: self.interval,
-            checkpoints: self.checkpoints.clone(),
-        }
-    }
-}
-
-/// A shared, interiorly-mutable recorder handed to a world.
-pub type SharedAuditor = Rc<RefCell<AuditRecorder>>;
+/// A shared, interiorly-mutable digest recorder handed to a world.
+pub type SharedAuditor = Rc<RefCell<Recorder<Checkpoint>>>;
 
 /// Creates a [`SharedAuditor`] sampling every `interval`.
 #[must_use]
 pub fn shared_auditor(interval: SimDuration) -> SharedAuditor {
-    Rc::new(RefCell::new(AuditRecorder::new(interval)))
-}
-
-/// The zero-cost-when-disabled auditing handle a world holds, mirroring
-/// [`Tracer`](crate::trace::Tracer) and
-/// [`Telemetry`](crate::telemetry::Telemetry): with no recorder attached
-/// every call is a single branch on an `Option` and no state is ever
-/// digested.
-#[derive(Clone, Default)]
-pub struct Auditor {
-    recorder: Option<SharedAuditor>,
-}
-
-impl fmt::Debug for Auditor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Auditor").field("enabled", &self.recorder.is_some()).finish()
-    }
-}
-
-impl Auditor {
-    /// A handle with no recorder — all operations are no-ops.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Auditor { recorder: None }
-    }
-
-    /// A handle feeding `recorder`.
-    #[must_use]
-    pub fn attached(recorder: SharedAuditor) -> Self {
-        Auditor { recorder: Some(recorder) }
-    }
-
-    /// Whether a recorder is attached.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.recorder.is_some()
-    }
-
-    /// Whether a checkpoint is due at `now`. Always `false` when
-    /// disabled — the caller skips the (expensive) state digesting.
-    #[must_use]
-    pub fn due(&self, now: SimTime) -> bool {
-        self.recorder.as_ref().is_some_and(|r| r.borrow().due(now))
-    }
-
-    /// Records a checkpoint (no-op when disabled).
-    pub fn record(&self, checkpoint: Checkpoint) {
-        if let Some(r) = &self.recorder {
-            r.borrow_mut().record(checkpoint);
-        }
-    }
+    Rc::new(RefCell::new(Recorder::new(interval)))
 }
 
 // ---------------------------------------------------------------------
 // The .audit.json artifact
 // ---------------------------------------------------------------------
 
-/// A serialized digest timeline: run metadata, sampling interval and the
-/// checkpoint sequence. Two artifacts from identically-seeded runs are
-/// byte-identical.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuditArtifact {
-    /// Free-form run metadata (seed, scenario, attacked, …).
-    pub meta: BTreeMap<String, String>,
-    /// The sampling interval the timeline was recorded at.
-    pub interval: SimDuration,
-    /// The digest timeline, in sampling order.
-    pub checkpoints: Vec<Checkpoint>,
-}
+/// A serialized digest timeline (`.audit.json`): run metadata, sampling
+/// interval and the checkpoint sequence. Hashes are decimal `u64`s; the
+/// parser recomputes each checkpoint's combined hash and rejects
+/// artifacts whose claim disagrees.
+pub type AuditArtifact = Artifact<Checkpoint>;
 
-impl AuditArtifact {
-    /// Renders the artifact as JSON (one checkpoint per line, so the
-    /// timeline greps well). Deterministic: metadata is sorted, hashes
-    /// are decimal `u64`s.
-    #[must_use]
-    pub fn to_json(&self) -> String {
+impl Sample for Checkpoint {
+    const LIST: &'static str = "checkpoints";
+
+    fn at(&self) -> SimTime {
+        self.at
+    }
+
+    fn write_json(&self, out: &mut String) {
         use std::fmt::Write as _;
-        let mut out = String::from("{\"meta\":{");
-        let mut first = true;
-        for (k, v) in &self.meta {
-            if !first {
+        let _ = write!(
+            out,
+            "{{\"t_us\":{},\"combined\":{},\"components\":{{",
+            self.at.as_micros(),
+            self.combined
+        );
+        for (j, c) in self.components.iter().enumerate() {
+            if j > 0 {
                 out.push(',');
             }
-            first = false;
-            let _ = write!(out, "\"{k}\":\"{v}\"");
+            let _ = write!(out, "\"{}\":{}", c.component, c.hash);
         }
-        let _ = write!(out, "}},\"interval_us\":{},\"checkpoints\":[", self.interval.as_micros());
-        for (i, cp) in self.checkpoints.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "{{\"t_us\":{},\"combined\":{},\"components\":{{",
-                cp.at.as_micros(),
-                cp.combined
-            );
-            for (j, c) in cp.components.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":{}", c.component, c.hash);
-            }
-            out.push_str("}}");
-        }
-        out.push_str("\n]}\n");
-        out
+        out.push_str("}}");
     }
 
-    /// Parses an artifact previously produced by
-    /// [`AuditArtifact::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Fails with a description of the first malformed construct.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let root = json::parse(text)?;
-        let root = root.as_object("top level")?;
-        let mut meta = BTreeMap::new();
-        let mut interval = None;
-        let mut checkpoints = Vec::new();
-        for (key, value) in root {
-            match key.as_str() {
-                "meta" => {
-                    for (k, v) in value.as_object("meta")? {
-                        match v {
-                            json::Value::String(s) => {
-                                meta.insert(k.clone(), s.clone());
-                            }
-                            other => {
-                                return Err(format!("meta {k:?}: expected string, got {other:?}"))
-                            }
-                        }
+    fn parse_json(value: &json::Value) -> Result<Self, String> {
+        let fields = value.as_object("checkpoint")?;
+        let mut at = None;
+        let mut combined = None;
+        let mut components = Vec::new();
+        for (k, v) in fields {
+            match k.as_str() {
+                "t_us" => at = Some(SimTime::from_micros(v.as_u64("t_us")?)),
+                "combined" => combined = Some(v.as_u64("combined")?),
+                "components" => {
+                    for (name, hash) in v.as_object("components")? {
+                        components.push(ComponentDigest {
+                            component: name.clone(),
+                            hash: hash.as_u64(name)?,
+                        });
                     }
                 }
-                "interval_us" => {
-                    interval = Some(SimDuration::from_micros(value.as_u64("interval_us")?));
-                }
-                "checkpoints" => {
-                    for entry in value.as_array("checkpoints")? {
-                        checkpoints.push(parse_checkpoint(entry)?);
-                    }
-                }
-                other => return Err(format!("unknown top-level key {other:?}")),
+                other => return Err(format!("unknown checkpoint field {other:?}")),
             }
         }
-        let interval = interval.ok_or("missing interval_us")?;
-        Ok(AuditArtifact { meta, interval, checkpoints })
-    }
-}
-
-fn parse_checkpoint(value: &json::Value) -> Result<Checkpoint, String> {
-    let fields = value.as_object("checkpoint")?;
-    let mut at = None;
-    let mut combined = None;
-    let mut components = Vec::new();
-    for (k, v) in fields {
-        match k.as_str() {
-            "t_us" => at = Some(SimTime::from_micros(v.as_u64("t_us")?)),
-            "combined" => combined = Some(v.as_u64("combined")?),
-            "components" => {
-                for (name, hash) in v.as_object("components")? {
-                    components.push(ComponentDigest {
-                        component: name.clone(),
-                        hash: hash.as_u64(name)?,
-                    });
-                }
-            }
-            other => return Err(format!("unknown checkpoint field {other:?}")),
+        let at = at.ok_or("checkpoint missing t_us")?;
+        let combined = combined.ok_or("checkpoint missing combined")?;
+        // Trust but verify: the combined hash must match the components, so
+        // a hand-edited artifact cannot silently claim agreement.
+        let mut b = Checkpoint::builder(at);
+        for c in &components {
+            b.push(&c.component, c.hash);
         }
+        let rebuilt = b.finish();
+        if rebuilt.combined != combined {
+            return Err(format!(
+                "checkpoint at {} µs: combined hash {} does not match components (expected {})",
+                at.as_micros(),
+                combined,
+                rebuilt.combined
+            ));
+        }
+        Ok(rebuilt)
     }
-    let at = at.ok_or("checkpoint missing t_us")?;
-    let combined = combined.ok_or("checkpoint missing combined")?;
-    // Trust but verify: the combined hash must match the components, so
-    // a hand-edited artifact cannot silently claim agreement.
-    let mut b = Checkpoint::builder(at);
-    for c in &components {
-        b.push(&c.component, c.hash);
-    }
-    let rebuilt = b.finish();
-    if rebuilt.combined != combined {
-        return Err(format!(
-            "checkpoint at {} µs: combined hash {} does not match components (expected {})",
-            at.as_micros(),
-            combined,
-            rebuilt.combined
-        ));
-    }
-    Ok(rebuilt)
 }
 
 // ---------------------------------------------------------------------
@@ -605,10 +421,10 @@ pub fn diff_artifacts(a: &AuditArtifact, b: &AuditArtifact) -> DivergenceReport 
             meta_differences.push((key.clone(), va.cloned(), vb.cloned()));
         }
     }
-    let compared = a.checkpoints.len().min(b.checkpoints.len());
+    let compared = a.entries.len().min(b.entries.len());
     let mut first_divergence = None;
     for i in 0..compared {
-        let (ca, cb) = (&a.checkpoints[i], &b.checkpoints[i]);
+        let (ca, cb) = (&a.entries[i], &b.entries[i]);
         if ca.combined == cb.combined && ca.at == cb.at {
             continue;
         }
@@ -627,14 +443,14 @@ pub fn diff_artifacts(a: &AuditArtifact, b: &AuditArtifact) -> DivergenceReport 
                 components.push(name.clone());
             }
         }
-        let window_start = if i == 0 { SimTime::ZERO } else { a.checkpoints[i - 1].at };
+        let window_start = if i == 0 { SimTime::ZERO } else { a.entries[i - 1].at };
         first_divergence = Some(Divergence { index: i, at: ca.at, window_start, components });
         break;
     }
     DivergenceReport {
         first_divergence,
         compared,
-        lengths: (a.checkpoints.len(), b.checkpoints.len()),
+        lengths: (a.entries.len(), b.entries.len()),
         meta_differences,
     }
 }
@@ -1008,28 +824,9 @@ mod tests {
         assert_ne!(checkpoint(1, 5).combined, checkpoint(2, 5).combined);
     }
 
-    #[test]
-    fn recorder_cadence_and_due() {
-        let mut rec = AuditRecorder::new(SimDuration::from_secs(1));
-        assert!(rec.due(SimTime::ZERO));
-        rec.record(checkpoint(0, 1));
-        assert!(!rec.due(SimTime::from_millis(900)));
-        assert!(rec.due(SimTime::from_secs(1)));
-        rec.record(checkpoint(1, 2));
-        assert_eq!(rec.checkpoints().len(), 2);
-    }
-
-    #[test]
-    fn disabled_auditor_is_never_due() {
-        let a = Auditor::disabled();
-        assert!(!a.is_enabled());
-        assert!(!a.due(SimTime::from_secs(100)));
-        a.record(checkpoint(1, 1)); // no-op, must not panic
-    }
-
     fn artifact() -> AuditArtifact {
         let rec = {
-            let mut r = AuditRecorder::new(SimDuration::from_secs(1));
+            let mut r = Recorder::new(SimDuration::from_secs(1));
             r.set_meta("seed", "42");
             r.set_meta("scenario", "interarea");
             r.record(checkpoint(0, 10));
@@ -1070,7 +867,7 @@ mod tests {
     fn diff_names_first_divergence_and_component() {
         let a = artifact();
         let mut b = artifact();
-        b.checkpoints[1] = {
+        b.entries[1] = {
             let mut cb = Checkpoint::builder(SimTime::from_secs(1));
             cb.push("rng", 999); // diverged
             cb.push("routers", 7);
@@ -1091,7 +888,7 @@ mod tests {
         let a = artifact();
         let mut b = artifact();
         b.meta.insert("seed".into(), "43".into());
-        b.checkpoints.pop();
+        b.entries.pop();
         let report = diff_artifacts(&a, &b);
         assert!(report.first_divergence.is_none());
         assert!(!report.identical(), "length mismatch is not identical");

@@ -21,12 +21,12 @@
 //! * [`audit`] — deterministic run auditing: per-component state digests
 //!   on a checkpoint timeline, `.audit.json` artifacts with first-
 //!   divergence diffing, and an online [`InvariantChecker`] for the
-//!   EN 302 636-4-1 forwarding rules, behind a zero-cost-when-disabled
-//!   [`Auditor`] handle.
+//!   EN 302 636-4-1 forwarding rules.
 //! * [`topo`] — spatial & topological observability: radio
 //!   connectivity-graph snapshots with partition/articulation/local-
-//!   maximum/coverage analytics, `.topo.json` + DOT artifacts, behind a
-//!   zero-cost-when-detached [`TopoObserver`] handle.
+//!   maximum/coverage analytics, `.topo.json` + DOT artifacts.
+//! * [`recorder`] — the sampled [`Recorder`] both of them record into,
+//!   and the artifact envelope they share.
 //!
 //! # Example
 //!
@@ -50,6 +50,7 @@ pub mod audit;
 pub mod kernel;
 pub mod metrics;
 pub mod queue;
+pub mod recorder;
 pub mod rng;
 pub mod telemetry;
 pub mod time;
@@ -57,13 +58,14 @@ pub mod topo;
 pub mod trace;
 
 pub use audit::{
-    diff_artifacts, shared_auditor, trace_window, AuditArtifact, AuditRecorder, Auditor,
-    Checkpoint, CheckpointBuilder, ComponentDigest, Divergence, DivergenceReport, InvariantChecker,
-    InvariantParams, SharedAuditor, StateHasher, UnorderedDigest, Violation,
+    diff_artifacts, shared_auditor, trace_window, AuditArtifact, Checkpoint, CheckpointBuilder,
+    ComponentDigest, Divergence, DivergenceReport, InvariantChecker, InvariantParams,
+    SharedAuditor, StateHasher, UnorderedDigest, Violation,
 };
 pub use kernel::Kernel;
 pub use metrics::{AbComparison, RunningStats, TimeBins};
 pub use queue::EventQueue;
+pub use recorder::{Artifact, Recorder, Sample};
 pub use rng::SimRng;
 pub use telemetry::{
     shared_registry, Gauge, GaugeSummary, Histogram, MetricsRegistry, MetricsSnapshot, ScopedTimer,
@@ -71,8 +73,7 @@ pub use telemetry::{
 };
 pub use time::{SimDuration, SimTime};
 pub use topo::{
-    shared_topo, AttackerCoverage, GradientHealth, SharedTopo, TopoArtifact, TopoNode,
-    TopoObserver, TopoRecorder, TopoSnapshot,
+    shared_topo, AttackerCoverage, GradientHealth, SharedTopo, TopoArtifact, TopoNode, TopoSnapshot,
 };
 pub use trace::{
     shared, AttackKind, CountingSink, DropReason, EventCounters, JsonlSink, NullSink, PacketRef,

@@ -556,10 +556,10 @@ impl MetricsSnapshot {
         }
         for (name, g) in &self.gauges {
             let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name}{{stat=\"last\"}} {}", format_f64(g.last));
-            let _ = writeln!(out, "{name}{{stat=\"mean\"}} {}", format_f64(g.mean));
-            let _ = writeln!(out, "{name}{{stat=\"min\"}} {}", format_f64(g.min));
-            let _ = writeln!(out, "{name}{{stat=\"max\"}} {}", format_f64(g.max));
+            let _ = writeln!(out, "{name}{{stat=\"last\"}} {}", json::format_f64(g.last));
+            let _ = writeln!(out, "{name}{{stat=\"mean\"}} {}", json::format_f64(g.mean));
+            let _ = writeln!(out, "{name}{{stat=\"min\"}} {}", json::format_f64(g.min));
+            let _ = writeln!(out, "{name}{{stat=\"max\"}} {}", json::format_f64(g.max));
         }
         for (name, h) in &self.histograms {
             let _ = writeln!(out, "# TYPE {name} histogram");
@@ -611,11 +611,11 @@ impl MetricsSnapshot {
             let _ = write!(
                 out,
                 "\"{name}\":{{\"last\":{},\"count\":{},\"mean\":{},\"min\":{},\"max\":{}}}",
-                format_f64(g.last),
+                json::format_f64(g.last),
                 g.count,
-                format_f64(g.mean),
-                format_f64(g.min),
-                format_f64(g.max)
+                json::format_f64(g.mean),
+                json::format_f64(g.min),
+                json::format_f64(g.max)
             );
         }
         out.push_str("},\"histograms\":{");
@@ -722,21 +722,67 @@ impl MetricsSnapshot {
     }
 }
 
-/// Shortest `f64` representation that round-trips (same contract as the
-/// trace module's coordinate formatting).
-fn format_f64(x: f64) -> String {
-    assert!(x.is_finite(), "metric values must be finite: {x}");
-    let s = format!("{x:?}");
-    debug_assert!(s.parse::<f64>() == Ok(x));
-    s
-}
-
-/// Minimal recursive-descent JSON parser for the exporter subset
-/// (objects, arrays, numbers, strings without escapes, booleans, null).
-/// Shared with the audit module's `.audit.json` artifact parser, the
-/// topology module's `.topo.json` parser and the scenario crate's
-/// heatmap parser.
+/// The crate's one JSON codec for the exporter subset (objects, arrays,
+/// numbers, strings without escapes, booleans, null): a minimal
+/// recursive-descent parser plus the float and metadata encoders shared
+/// by the trace, telemetry, audit and topology artifacts and the
+/// scenario crate's heatmap.
 pub mod json {
+    use std::collections::BTreeMap;
+    use std::fmt::Write as _;
+
+    /// Shortest `f64` representation that round-trips and is valid JSON.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is NaN or infinite (JSON has no spelling for them).
+    #[must_use]
+    pub fn format_f64(x: f64) -> String {
+        assert!(x.is_finite(), "JSON numbers must be finite: {x}");
+        let s = format!("{x:?}");
+        debug_assert!(s.parse::<f64>() == Ok(x));
+        s
+    }
+
+    /// Inserts one run-metadata entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key or value contains a quote or backslash (the
+    /// encoder never escapes).
+    pub fn insert_meta(meta: &mut BTreeMap<String, String>, key: &str, value: String) {
+        assert!(
+            !key.contains(['"', '\\']) && !value.contains(['"', '\\']),
+            "metadata must not contain quotes or backslashes: {key:?} = {value:?}"
+        );
+        meta.insert(key.to_string(), value);
+    }
+
+    /// Appends run metadata as a JSON object of strings, in key order.
+    pub fn write_meta(out: &mut String, meta: &BTreeMap<String, String>) {
+        out.push('{');
+        for (i, (k, v)) in meta.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{k}\":\"{v}\"");
+        }
+        out.push('}');
+    }
+
+    /// Reads run metadata written by [`write_meta`].
+    ///
+    /// # Errors
+    ///
+    /// Fails if the value is not an object of strings.
+    pub fn parse_meta(value: &Value) -> Result<BTreeMap<String, String>, String> {
+        value
+            .as_object("meta")?
+            .iter()
+            .map(|(k, v)| Ok((k.clone(), v.as_str(&format!("meta {k:?}"))?.to_string())))
+            .collect()
+    }
+
     /// Parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Value {
@@ -778,6 +824,61 @@ pub mod json {
             match self {
                 Value::Array(items) => Ok(items),
                 other => Err(format!("{what}: expected array, got {other:?}")),
+            }
+        }
+
+        /// The member `key` of an object value, if present (the first
+        /// one wins).
+        #[must_use]
+        pub fn get(&self, key: &str) -> Option<&Value> {
+            match self {
+                Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+
+        /// The member `key` of an object value.
+        ///
+        /// # Errors
+        ///
+        /// Fails if the value is not an object or has no such member.
+        pub fn field(&self, key: &str) -> Result<&Value, String> {
+            self.get(key).ok_or_else(|| format!("missing field {key:?}"))
+        }
+
+        /// The value as an unsigned integer of type `T`, rejecting
+        /// rather than truncating values `T` cannot hold.
+        ///
+        /// # Errors
+        ///
+        /// Fails if the value is not an unsigned integer literal that
+        /// fits in `T`.
+        pub fn as_uint<T: TryFrom<u64>>(&self, what: &str) -> Result<T, String> {
+            let v = self.as_u64(what)?;
+            T::try_from(v).map_err(|_| format!("{what}: {v} out of range"))
+        }
+
+        /// The value as a string slice.
+        ///
+        /// # Errors
+        ///
+        /// Fails if the value is not a string.
+        pub fn as_str(&self, what: &str) -> Result<&str, String> {
+            match self {
+                Value::String(s) => Ok(s),
+                other => Err(format!("{what}: expected string, got {other:?}")),
+            }
+        }
+
+        /// The value as a `bool`.
+        ///
+        /// # Errors
+        ///
+        /// Fails if the value is not `true` or `false`.
+        pub fn as_bool(&self, what: &str) -> Result<bool, String> {
+            match self {
+                Value::Bool(b) => Ok(*b),
+                other => Err(format!("{what}: expected bool, got {other:?}")),
             }
         }
 

@@ -21,12 +21,11 @@
 //!   detection toward the current destination, and per-attacker
 //!   coverage (which legit nodes sit inside its sniff/TX range).
 //!
-//! * **Recording.** A [`TopoRecorder`] accumulates snapshots at a fixed
-//!   sim-time interval; worlds hold a zero-cost-when-detached
-//!   [`TopoObserver`] handle mirroring [`Tracer`](crate::trace::Tracer)
-//!   / [`Telemetry`](crate::telemetry::Telemetry) /
-//!   [`Auditor`](crate::audit::Auditor): with no recorder attached,
-//!   every call is a single branch and no graph is ever built.
+//! * **Recording.** A [`SharedTopo`] (a
+//!   [`Recorder`] of snapshots) accumulates
+//!   snapshots at a fixed sim-time interval. A world holds one
+//!   optionally: detached, the per-traffic-step check is a single branch
+//!   and no graph is ever built.
 //!
 //! * **Artifacts.** The timeline serializes to a `.topo.json` artifact
 //!   ([`TopoArtifact`], same hand-rolled JSON discipline as the trace,
@@ -50,13 +49,13 @@
 //! let snap = TopoSnapshot::build(SimTime::from_secs(1), None, nodes);
 //! assert_eq!(snap.partitions, 1);
 //! topo.borrow_mut().record(snap);
-//! assert_eq!(topo.borrow().snapshots().len(), 1);
+//! assert_eq!(topo.borrow().entries().len(), 1);
 //! ```
 
+use crate::recorder::{Artifact, Recorder, Sample};
 use crate::telemetry::json;
 use crate::time::{SimDuration, SimTime};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -360,10 +359,10 @@ impl TopoSnapshot {
             "  label=\"t={}us partitions={} largest={}\";",
             self.at.as_micros(),
             self.partitions,
-            format_f64(self.largest_fraction)
+            json::format_f64(self.largest_fraction)
         );
         for n in &self.nodes {
-            let mut attrs = format!("pos=\"{},{}!\"", format_f64(n.x), format_f64(n.y));
+            let mut attrs = format!("pos=\"{},{}!\"", json::format_f64(n.x), json::format_f64(n.y));
             if n.attacker {
                 attrs.push_str(",shape=box,color=red");
             } else if self.articulation.contains(&n.id) {
@@ -447,238 +446,51 @@ fn articulation_and_bridges(nodes: &[TopoNode], adj: &[Vec<usize>]) -> (Vec<u32>
 }
 
 // ---------------------------------------------------------------------
-// Recorder and observer handle
+// Recording
 // ---------------------------------------------------------------------
 
-/// Collects a snapshot timeline at a fixed sim-time interval, plus
-/// free-form run metadata — the topological twin of
-/// [`AuditRecorder`](crate::audit::AuditRecorder).
-#[derive(Debug)]
-pub struct TopoRecorder {
-    interval: SimDuration,
-    next_due: SimTime,
-    meta: BTreeMap<String, String>,
-    snapshots: Vec<TopoSnapshot>,
-}
+impl Sample for TopoSnapshot {
+    const LIST: &'static str = "snapshots";
 
-impl TopoRecorder {
-    /// Creates a recorder sampling every `interval` of simulation time
-    /// (the first snapshot is due immediately).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    #[must_use]
-    pub fn new(interval: SimDuration) -> Self {
-        assert!(interval > SimDuration::ZERO, "topo interval must be positive");
-        TopoRecorder {
-            interval,
-            next_due: SimTime::ZERO,
-            meta: BTreeMap::new(),
-            snapshots: Vec::new(),
-        }
+    fn at(&self) -> SimTime {
+        self.at
     }
 
-    /// The sampling interval.
-    #[must_use]
-    pub fn interval(&self) -> SimDuration {
-        self.interval
+    fn write_json(&self, out: &mut String) {
+        write_snapshot(out, self);
     }
 
-    /// Attaches one metadata key (seed, scenario label, …). Values must
-    /// stay free of `"` and `\` — the artifact encoding is escape-free.
-    pub fn set_meta(&mut self, key: &str, value: impl Into<String>) {
-        let value = value.into();
-        assert!(
-            !key.contains(['"', '\\']) && !value.contains(['"', '\\']),
-            "topo metadata must not contain quotes or backslashes"
-        );
-        self.meta.insert(key.to_string(), value);
-    }
-
-    /// Whether a snapshot is due at `now`.
-    #[must_use]
-    pub fn due(&self, now: SimTime) -> bool {
-        now >= self.next_due
-    }
-
-    /// Appends a snapshot and advances the next due time.
-    pub fn record(&mut self, snapshot: TopoSnapshot) {
-        self.next_due = snapshot.at + self.interval;
-        self.snapshots.push(snapshot);
-    }
-
-    /// The recorded timeline.
-    #[must_use]
-    pub fn snapshots(&self) -> &[TopoSnapshot] {
-        &self.snapshots
-    }
-
-    /// Snapshots the recorder into a serializable artifact.
-    #[must_use]
-    pub fn to_artifact(&self) -> TopoArtifact {
-        TopoArtifact {
-            meta: self.meta.clone(),
-            interval: self.interval,
-            snapshots: self.snapshots.clone(),
-        }
+    fn parse_json(value: &json::Value) -> Result<Self, String> {
+        parse_snapshot(value)
     }
 }
 
-/// A shared, interiorly-mutable recorder handed to a world.
-pub type SharedTopo = Rc<RefCell<TopoRecorder>>;
+/// A shared, interiorly-mutable snapshot recorder handed to a world.
+pub type SharedTopo = Rc<RefCell<Recorder<TopoSnapshot>>>;
 
 /// Creates a [`SharedTopo`] sampling every `interval`.
 #[must_use]
 pub fn shared_topo(interval: SimDuration) -> SharedTopo {
-    Rc::new(RefCell::new(TopoRecorder::new(interval)))
-}
-
-/// The zero-cost-when-detached topology handle a world holds, mirroring
-/// [`Tracer`](crate::trace::Tracer),
-/// [`Telemetry`](crate::telemetry::Telemetry) and
-/// [`Auditor`](crate::audit::Auditor): with no recorder attached every
-/// call is a single branch on an `Option` and no adjacency graph is
-/// ever built.
-#[derive(Clone, Default)]
-pub struct TopoObserver {
-    recorder: Option<SharedTopo>,
-}
-
-impl fmt::Debug for TopoObserver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TopoObserver").field("enabled", &self.recorder.is_some()).finish()
-    }
-}
-
-impl TopoObserver {
-    /// A handle with no recorder — all operations are no-ops.
-    #[must_use]
-    pub fn disabled() -> Self {
-        TopoObserver { recorder: None }
-    }
-
-    /// A handle feeding `recorder`.
-    #[must_use]
-    pub fn attached(recorder: SharedTopo) -> Self {
-        TopoObserver { recorder: Some(recorder) }
-    }
-
-    /// Whether a recorder is attached.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.recorder.is_some()
-    }
-
-    /// Whether a snapshot is due at `now`. Always `false` when
-    /// detached — the caller skips the (expensive) graph build.
-    #[must_use]
-    pub fn due(&self, now: SimTime) -> bool {
-        self.recorder.as_ref().is_some_and(|r| r.borrow().due(now))
-    }
-
-    /// Records a snapshot (no-op when detached).
-    pub fn record(&self, snapshot: TopoSnapshot) {
-        if let Some(r) = &self.recorder {
-            r.borrow_mut().record(snapshot);
-        }
-    }
+    Rc::new(RefCell::new(Recorder::new(interval)))
 }
 
 // ---------------------------------------------------------------------
 // The .topo.json artifact
 // ---------------------------------------------------------------------
 
-/// A serialized snapshot timeline: run metadata, sampling interval and
-/// the snapshot sequence. Two artifacts from identically-seeded runs
-/// are byte-identical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopoArtifact {
-    /// Free-form run metadata (seed, scenario, attacked, …).
-    pub meta: BTreeMap<String, String>,
-    /// The sampling interval the timeline was recorded at.
-    pub interval: SimDuration,
-    /// The snapshot timeline, in sampling order.
-    pub snapshots: Vec<TopoSnapshot>,
-}
-
-impl TopoArtifact {
-    /// Renders the artifact as JSON (one snapshot per line, so the
-    /// timeline greps well). Deterministic: metadata is sorted, floats
-    /// use the shortest round-tripping representation.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"meta\":{");
-        let mut first = true;
-        for (k, v) in &self.meta {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{k}\":\"{v}\"");
-        }
-        let _ = write!(out, "}},\"interval_us\":{},\"snapshots\":[", self.interval.as_micros());
-        for (i, s) in self.snapshots.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            write_snapshot(&mut out, s);
-        }
-        out.push_str("\n]}\n");
-        out
-    }
-
-    /// Parses an artifact previously produced by
-    /// [`TopoArtifact::to_json`], *recomputing* every derived analytic
-    /// from each snapshot's node set and rejecting snapshots whose
-    /// claimed analytics disagree (trust but verify, like the audit
-    /// artifact's combined hashes).
-    ///
-    /// # Errors
-    ///
-    /// Fails with a description of the first malformed or inconsistent
-    /// construct.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let root = json::parse(text)?;
-        let root = root.as_object("top level")?;
-        let mut meta = BTreeMap::new();
-        let mut interval = None;
-        let mut snapshots = Vec::new();
-        for (key, value) in root {
-            match key.as_str() {
-                "meta" => {
-                    for (k, v) in value.as_object("meta")? {
-                        match v {
-                            json::Value::String(s) => {
-                                meta.insert(k.clone(), s.clone());
-                            }
-                            other => {
-                                return Err(format!("meta {k:?}: expected string, got {other:?}"))
-                            }
-                        }
-                    }
-                }
-                "interval_us" => {
-                    interval = Some(SimDuration::from_micros(value.as_u64("interval_us")?));
-                }
-                "snapshots" => {
-                    for entry in value.as_array("snapshots")? {
-                        snapshots.push(parse_snapshot(entry)?);
-                    }
-                }
-                other => return Err(format!("unknown top-level key {other:?}")),
-            }
-        }
-        let interval = interval.ok_or("missing interval_us")?;
-        Ok(TopoArtifact { meta, interval, snapshots })
-    }
-}
+/// A serialized snapshot timeline (`.topo.json`). Floats use the
+/// shortest round-tripping representation; the parser *recomputes*
+/// every derived analytic from each snapshot's node set and rejects
+/// snapshots whose claimed analytics disagree (trust but verify, like
+/// the audit artifact's combined hashes).
+pub type TopoArtifact = Artifact<TopoSnapshot>;
 
 fn write_snapshot(out: &mut String, s: &TopoSnapshot) {
     use std::fmt::Write as _;
     let _ = write!(out, "{{\"t_us\":{},\"dest\":", s.at.as_micros());
     match s.dest {
         Some((x, y)) => {
-            let _ = write!(out, "[{},{}]", format_f64(x), format_f64(y));
+            let _ = write!(out, "[{},{}]", json::format_f64(x), json::format_f64(y));
         }
         None => out.push_str("null"),
     }
@@ -691,9 +503,9 @@ fn write_snapshot(out: &mut String, s: &TopoSnapshot) {
             out,
             "{{\"id\":{},\"x\":{},\"y\":{},\"range\":{},\"attacker\":{},\"grad\":\"{}\"}}",
             n.id,
-            format_f64(n.x),
-            format_f64(n.y),
-            format_f64(n.range),
+            json::format_f64(n.x),
+            json::format_f64(n.y),
+            json::format_f64(n.range),
             n.attacker,
             n.gradient.name()
         );
@@ -702,7 +514,7 @@ fn write_snapshot(out: &mut String, s: &TopoSnapshot) {
         out,
         "],\"derived\":{{\"partitions\":{},\"largest_fraction\":{},\"articulation\":",
         s.partitions,
-        format_f64(s.largest_fraction)
+        json::format_f64(s.largest_fraction)
     );
     write_id_list(out, &s.articulation);
     out.push_str(",\"bridges\":[");
@@ -719,8 +531,12 @@ fn write_snapshot(out: &mut String, s: &TopoSnapshot) {
         if i > 0 {
             out.push(',');
         }
-        let _ =
-            write!(out, "{{\"id\":{},\"fraction\":{},\"covered\":", c.id, format_f64(c.fraction));
+        let _ = write!(
+            out,
+            "{{\"id\":{},\"fraction\":{},\"covered\":",
+            c.id,
+            json::format_f64(c.fraction)
+        );
         write_id_list(out, &c.covered);
         out.push('}');
     }
@@ -742,7 +558,7 @@ fn write_id_list(out: &mut String, ids: &[u32]) {
 fn parse_id_list(value: &json::Value, what: &str) -> Result<Vec<u32>, String> {
     let mut out = Vec::new();
     for v in value.as_array(what)? {
-        out.push(u32::try_from(v.as_u64(what)?).map_err(|_| format!("{what}: id too large"))?);
+        out.push(v.as_uint(what)?);
     }
     Ok(out)
 }
@@ -794,23 +610,16 @@ fn parse_node(value: &json::Value) -> Result<TopoNode, String> {
     for (k, v) in fields {
         match k.as_str() {
             "id" => {
-                id = Some(u32::try_from(v.as_u64("node id")?).map_err(|_| "node id too large")?);
+                id = Some(v.as_uint("node id")?);
             }
             "x" => x = Some(v.as_f64("node x")?),
             "y" => y = Some(v.as_f64("node y")?),
             "range" => range = Some(v.as_f64("node range")?),
-            "attacker" => {
-                attacker = match v {
-                    json::Value::Bool(b) => *b,
-                    other => return Err(format!("attacker: expected bool, got {other:?}")),
-                };
-            }
+            "attacker" => attacker = v.as_bool("attacker")?,
             "grad" => {
-                gradient = match v {
-                    json::Value::String(s) => GradientHealth::from_name(s)
-                        .ok_or_else(|| format!("unknown gradient {s:?}"))?,
-                    other => return Err(format!("grad: expected string, got {other:?}")),
-                };
+                let s = v.as_str("grad")?;
+                gradient = GradientHealth::from_name(s)
+                    .ok_or_else(|| format!("unknown gradient {s:?}"))?;
             }
             other => return Err(format!("unknown node field {other:?}")),
         }
@@ -835,7 +644,7 @@ fn verify_derived(rebuilt: &TopoSnapshot, derived: &json::Value) -> Result<(), S
     for (k, v) in derived.as_object("derived")? {
         match k.as_str() {
             "partitions" => {
-                let claimed = v.as_u64("partitions")? as usize;
+                let claimed: usize = v.as_uint("partitions")?;
                 if claimed != rebuilt.partitions {
                     return mismatch("partitions", &claimed, &rebuilt.partitions);
                 }
@@ -859,12 +668,7 @@ fn verify_derived(rebuilt: &TopoSnapshot, derived: &json::Value) -> Result<(), S
                     if pair.len() != 2 {
                         return Err("bridge is not a pair".into());
                     }
-                    claimed.push((
-                        u32::try_from(pair[0].as_u64("bridge a")?)
-                            .map_err(|_| "bridge id too large")?,
-                        u32::try_from(pair[1].as_u64("bridge b")?)
-                            .map_err(|_| "bridge id too large")?,
-                    ));
+                    claimed.push((pair[0].as_uint("bridge a")?, pair[1].as_uint("bridge b")?));
                 }
                 if claimed != rebuilt.bridges {
                     return mismatch("bridges", &claimed, &rebuilt.bridges);
@@ -882,12 +686,7 @@ fn verify_derived(rebuilt: &TopoSnapshot, derived: &json::Value) -> Result<(), S
                     let (mut id, mut fraction, mut covered) = (None, None, None);
                     for (ck, cv) in entry.as_object("coverage entry")? {
                         match ck.as_str() {
-                            "id" => {
-                                id = Some(
-                                    u32::try_from(cv.as_u64("coverage id")?)
-                                        .map_err(|_| "coverage id too large")?,
-                                );
-                            }
+                            "id" => id = Some(cv.as_uint("coverage id")?),
                             "fraction" => fraction = Some(cv.as_f64("coverage fraction")?),
                             "covered" => covered = Some(parse_id_list(cv, "covered")?),
                             other => {
@@ -909,15 +708,6 @@ fn verify_derived(rebuilt: &TopoSnapshot, derived: &json::Value) -> Result<(), S
         }
     }
     Ok(())
-}
-
-/// Shortest `f64` representation that round-trips (same contract as the
-/// trace and telemetry modules' formatting).
-fn format_f64(x: f64) -> String {
-    assert!(x.is_finite(), "topology values must be finite: {x}");
-    let s = format!("{x:?}");
-    debug_assert!(s.parse::<f64>() == Ok(x));
-    s
 }
 
 #[cfg(test)]
@@ -1028,40 +818,8 @@ mod tests {
         assert!(s.edges.is_empty());
     }
 
-    #[test]
-    fn recorder_cadence_and_due() {
-        let mut rec = TopoRecorder::new(SimDuration::from_secs(1));
-        assert!(rec.due(SimTime::ZERO));
-        rec.record(TopoSnapshot::build(SimTime::ZERO, None, vec![road(0, 0.0)]));
-        assert!(!rec.due(SimTime::from_millis(900)));
-        assert!(rec.due(SimTime::from_secs(1)));
-        rec.record(TopoSnapshot::build(SimTime::from_secs(1), None, vec![road(0, 10.0)]));
-        assert_eq!(rec.snapshots().len(), 2);
-        assert_eq!(rec.interval(), SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn detached_observer_is_never_due() {
-        let t = TopoObserver::disabled();
-        assert!(!t.is_enabled());
-        assert!(!t.due(SimTime::from_secs(100)));
-        t.record(TopoSnapshot::build(SimTime::ZERO, None, Vec::new())); // no-op
-        assert_eq!(format!("{t:?}"), "TopoObserver { enabled: false }");
-    }
-
-    #[test]
-    fn attached_observer_feeds_the_recorder() {
-        let rec = shared_topo(SimDuration::from_secs(1));
-        let t = TopoObserver::attached(rec.clone());
-        assert!(t.is_enabled());
-        assert!(t.due(SimTime::ZERO));
-        t.record(TopoSnapshot::build(SimTime::ZERO, None, vec![road(0, 0.0)]));
-        assert!(!t.due(SimTime::from_millis(1)));
-        assert_eq!(rec.borrow().snapshots().len(), 1);
-    }
-
     fn artifact() -> TopoArtifact {
-        let mut rec = TopoRecorder::new(SimDuration::from_secs(1));
+        let mut rec = Recorder::new(SimDuration::from_secs(1));
         rec.set_meta("seed", "42");
         rec.set_meta("scenario", "interception");
         rec.record(TopoSnapshot::build(
@@ -1113,12 +871,12 @@ mod tests {
     fn gradient_classification_survives_the_artifact() {
         let text = artifact().to_json();
         let parsed = TopoArtifact::from_json(&text).expect("parses");
-        assert_eq!(parsed.snapshots[0].nodes_with_gradient(GradientHealth::Poisoned), vec![2]);
+        assert_eq!(parsed.entries[0].nodes_with_gradient(GradientHealth::Poisoned), vec![2]);
     }
 
     #[test]
     fn dot_export_is_deterministic_and_complete() {
-        let s = &artifact().snapshots[0];
+        let s = &artifact().entries[0];
         let dot = s.to_dot();
         assert_eq!(dot, s.to_dot());
         assert!(dot.starts_with("graph topo {"));

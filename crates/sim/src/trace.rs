@@ -23,6 +23,7 @@
 //! number), peers by their raw address bits, so the bottom-of-the-stack
 //! `geonet-sim` crate needs no knowledge of the wire types above it.
 
+use crate::telemetry::json;
 use crate::time::SimTime;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -467,7 +468,7 @@ impl TraceRecord {
             }
             TraceEvent::HazardOnset { x } | TraceEvent::Collision { x } => {
                 s.push_str(",\"x\":");
-                s.push_str(&format_f64(*x));
+                s.push_str(&json::format_f64(*x));
             }
         }
         s.push('}');
@@ -480,50 +481,18 @@ impl TraceRecord {
     ///
     /// Returns a description of the first syntactic or semantic problem.
     pub fn from_json(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let num = |key: &str| -> Result<u64, String> {
-            match get(key) {
-                Some(JsonValue::Number(n)) => {
-                    n.parse::<u64>().map_err(|_| format!("field {key:?} is not a u64: {n:?}"))
-                }
-                Some(v) => Err(format!("field {key:?} is not an integer: {v:?}")),
-                None => Err(format!("missing field {key:?}")),
-            }
+        let root = json::parse(line)?;
+        root.as_object("trace record")?;
+        let num = |key: &str| root.field(key)?.as_u64(key);
+        let opt_num = |key: &str| root.get(key).map(|v| v.as_u64(key)).transpose();
+        let string = |key: &str| root.field(key)?.as_str(key);
+        let boolean = |key: &str| root.field(key)?.as_bool(key);
+        let float = |key: &str| root.field(key)?.as_f64(key);
+        let packet = || -> Result<PacketRef, String> {
+            Ok(PacketRef::new(num("src")?, root.field("sn")?.as_uint("sn")?))
         };
-        let opt_num = |key: &str| -> Result<Option<u64>, String> {
-            match get(key) {
-                None => Ok(None),
-                Some(_) => num(key).map(Some),
-            }
-        };
-        let string = |key: &str| -> Result<&str, String> {
-            match get(key) {
-                Some(JsonValue::String(v)) => Ok(v),
-                Some(v) => Err(format!("field {key:?} is not a string: {v:?}")),
-                None => Err(format!("missing field {key:?}")),
-            }
-        };
-        let boolean = |key: &str| -> Result<bool, String> {
-            match get(key) {
-                Some(JsonValue::Bool(b)) => Ok(*b),
-                Some(v) => Err(format!("field {key:?} is not a bool: {v:?}")),
-                None => Err(format!("missing field {key:?}")),
-            }
-        };
-        let float = |key: &str| -> Result<f64, String> {
-            match get(key) {
-                Some(JsonValue::Number(n)) => {
-                    n.parse::<f64>().map_err(|_| format!("field {key:?} is not a number: {n:?}"))
-                }
-                Some(v) => Err(format!("field {key:?} is not a number: {v:?}")),
-                None => Err(format!("missing field {key:?}")),
-            }
-        };
-        let packet =
-            || -> Result<PacketRef, String> { Ok(PacketRef::new(num("src")?, num("sn")? as u16)) };
         let opt_packet = || -> Result<Option<PacketRef>, String> {
-            if get("src").is_some() {
+            if root.get("src").is_some() {
                 packet().map(Some)
             } else {
                 Ok(None)
@@ -531,7 +500,7 @@ impl TraceRecord {
         };
 
         let at = SimTime::from_micros(num("t_us")?);
-        let node = num("node")? as u32;
+        let node = root.field("node")?.as_uint("node")?;
         let ev = string("ev")?;
         let event = match ev {
             "originated" => TraceEvent::Originated { packet: packet()? },
@@ -559,12 +528,14 @@ impl TraceRecord {
                 TraceEvent::GfNextHop { packet: packet()?, next_hop: num("next_hop")? }
             }
             "gf_fallback" => TraceEvent::GfFallback { packet: packet()? },
-            "gf_buffered" => {
-                TraceEvent::GfBuffered { packet: packet()?, attempt: num("attempt")? as u32 }
-            }
-            "gf_ack_retry" => {
-                TraceEvent::GfAckRetry { packet: packet()?, attempt: num("attempt")? as u32 }
-            }
+            "gf_buffered" => TraceEvent::GfBuffered {
+                packet: packet()?,
+                attempt: root.field("attempt")?.as_uint("attempt")?,
+            },
+            "gf_ack_retry" => TraceEvent::GfAckRetry {
+                packet: packet()?,
+                attempt: root.field("attempt")?.as_uint("attempt")?,
+            },
             "dropped" => TraceEvent::Dropped {
                 packet: packet()?,
                 reason: DropReason::from_name(string("reason")?)
@@ -581,75 +552,6 @@ impl TraceRecord {
         };
         Ok(TraceRecord { at, node, event })
     }
-}
-
-/// Formats an `f64` so it round-trips exactly and is valid JSON.
-fn format_f64(x: f64) -> String {
-    assert!(x.is_finite(), "trace coordinates must be finite: {x}");
-    let s = format!("{x:?}"); // shortest representation that round-trips
-    debug_assert!(s.parse::<f64>() == Ok(x));
-    s
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    /// Kept as raw text: parsing through `f64` would silently truncate
-    /// u64 address bits above 2^53.
-    Number(String),
-    String(String),
-    Bool(bool),
-}
-
-/// Parses a flat JSON object (no nesting) into key/value pairs.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let line = line.trim();
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| format!("not a JSON object: {line:?}"))?;
-    let mut fields = Vec::new();
-    let mut rest = inner.trim_start();
-    while !rest.is_empty() {
-        // Key.
-        let after_quote =
-            rest.strip_prefix('"').ok_or_else(|| format!("expected quoted key at {rest:?}"))?;
-        let end = after_quote.find('"').ok_or_else(|| format!("unterminated key at {rest:?}"))?;
-        let key = after_quote[..end].to_string();
-        rest = after_quote[end + 1..]
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or_else(|| format!("expected ':' after key {key:?}"))?
-            .trim_start();
-        // Value: string, bool, or number.
-        let value;
-        if let Some(after) = rest.strip_prefix('"') {
-            let end =
-                after.find('"').ok_or_else(|| format!("unterminated string value for {key:?}"))?;
-            value = JsonValue::String(after[..end].to_string());
-            rest = &after[end + 1..];
-        } else if let Some(after) = rest.strip_prefix("true") {
-            value = JsonValue::Bool(true);
-            rest = after;
-        } else if let Some(after) = rest.strip_prefix("false") {
-            value = JsonValue::Bool(false);
-            rest = after;
-        } else {
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            let token = rest[..end].trim();
-            let _: f64 =
-                token.parse().map_err(|_| format!("bad number {token:?} for key {key:?}"))?;
-            value = JsonValue::Number(token.to_string());
-            rest = &rest[end..];
-        }
-        fields.push((key, value));
-        rest = rest.trim_start();
-        if let Some(after) = rest.strip_prefix(',') {
-            rest = after.trim_start();
-        } else if !rest.is_empty() {
-            return Err(format!("trailing garbage: {rest:?}"));
-        }
-    }
-    Ok(fields)
 }
 
 // ---------------------------------------------------------------------
@@ -1059,6 +961,8 @@ mod tests {
             r#"{"t_us":1,"node":0,"ev":"no_such_event"}"#,
             r#"{"t_us":1,"node":0,"ev":"dropped","src":1,"sn":2,"reason":"bogus"}"#,
             r#"{"t_us":-4,"node":0,"ev":"originated","src":1,"sn":2}"#,
+            r#"{"t_us":1,"node":0,"ev":"originated","src":1,"sn":70000}"#,
+            r#"{"t_us":1,"node":4294967296,"ev":"originated","src":1,"sn":2}"#,
         ] {
             assert!(TraceRecord::from_json(bad).is_err(), "accepted: {bad:?}");
         }
