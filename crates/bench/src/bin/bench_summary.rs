@@ -1,36 +1,15 @@
-//! `bench_summary` — dependency-free micro-runner behind the audit PR's
-//! acceptance criterion.
-//!
-//! Criterion lives in `dev-dependencies`, so binaries cannot use it;
-//! this runner times the `handle_frame` hot path with plain
-//! `std::time::Instant` batches and writes best-case timings to a small JSON
-//! report (default `BENCH_audit.json`, or the path given as the first
-//! argument).
+//! `bench_summary` — dependency-free runner for the CI gates that compare
+//! two *different* code paths inside one binary. Cross-commit timing
+//! (end to end and per layer) lives in `perfbench/`; this runner only
+//! answers "is the shipped path still better than the one it replaced?".
 //!
 //! ```text
-//! bench_summary [AUDIT_OUT.json] [TOPO_OUT.json] [RADIO_OUT.json] [PARALLEL_OUT.json] [--check]
+//! bench_summary [RADIO_OUT.json] [PARALLEL_OUT.json] [--check]
 //! ```
 //!
-//! Measured variants: tracer/telemetry/auditor all off (the baseline),
-//! tracer attached to a `NullSink`, telemetry attached to a registry,
-//! and auditor detached (the audit layer samples at the world level, so
-//! this must be indistinguishable from the baseline — the recorded
-//! `auditor_detached_regression_pct` is the acceptance number). The
-//! report also prices one audit checkpoint: a loaded router digest and a
-//! whole-world digest sample.
-//!
-//! A second report (default `BENCH_topo.json`) does the same for the
-//! topology observer, at the level it hooks: the world's traffic step.
-//! Two same-seed default worlds — both with the observer in its default
-//! detached state — advance in interleaved lockstep, and the recorded
-//! `topo_detached_regression_pct` is that pair's divergence: the
-//! detached observer's `due()` branch plus measurement noise. The report
-//! also prices an attached observer's step (5 s snapshot interval) and
-//! one whole-world snapshot.
-//!
-//! A third report (default `BENCH_radio.json`) gates the spatial-indexed
-//! medium: the delivery path `World::transmit` actually ships
-//! (grid-backed `receivers_into` on a reused buffer) against the
+//! The first report (default `BENCH_radio.json`) gates the
+//! spatial-indexed medium: the delivery path `World::transmit` actually
+//! ships (grid-backed `receivers_into` on a reused buffer) against the
 //! pre-index delivery path (the allocating linear scan,
 //! `receivers_within_linear`), interleaved, on the paper's two-lane
 //! road at 30/100/300 m inter-vehicle spacing. The new path must win
@@ -38,7 +17,7 @@
 //! the 300 m sparse case by 2% or more; the allocating grid wrapper is
 //! reported alongside as the alloc-matched index-only comparison.
 //!
-//! A fourth report (default `BENCH_parallel.json`) gates the campaign
+//! The second report (default `BENCH_parallel.json`) gates the campaign
 //! job pool: an interarea `run_ab` campaign timed under `jobs = 1` vs
 //! `jobs = 4` plus the pre-pool hand-written loop. The pooled
 //! sequential path must stay within 2% of the raw loop, the `jobs = 4`
@@ -47,20 +26,15 @@
 //! — on smaller hosts the speedup number is recorded but the gate is
 //! skipped (`speedup_gate_enforced: false`).
 //!
-//! `--check` exits nonzero if the detached auditor or the detached
-//! topology observer regresses its baseline by 2% or more, or if any of
-//! the radio/parallel gates above fails.
+//! `--check` exits nonzero if any of the gates above fails. Any other
+//! `-`-prefixed argument, or more paths than there are reports, is an
+//! error: a mistyped `--check` must not silently turn every gate off.
 
-use geonet::wire::GnPacket;
-use geonet::{CertificateAuthority, Frame, GnAddress, GnConfig, GnRouter};
-use geonet_geo::{GeoReference, Heading, Position};
+use geonet_geo::Position;
 use geonet_radio::{Medium, NodeId};
 use geonet_scenarios::config::Scale;
-use geonet_scenarios::{interarea, parallel, ScenarioConfig, World};
-use geonet_sim::{
-    shared, shared_registry, shared_topo, NullSink, SimDuration, SimTime, StateHasher, Telemetry,
-    TimeBins, Tracer,
-};
+use geonet_scenarios::{interarea, parallel, ScenarioConfig};
+use geonet_sim::{SimDuration, TimeBins};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -73,6 +47,41 @@ const BATCH: u32 = 20_000;
 /// batch is the tightest estimate of the code's true cost — medians
 /// flaked the 2% gates by ±3.5% on loaded single-core hosts.)
 const SAMPLES: usize = 31;
+
+/// The reports this runner writes, in positional-argument order, with
+/// their default paths.
+const REPORTS: [&str; 2] = ["BENCH_radio.json", "BENCH_parallel.json"];
+
+/// Parsed command line: whether to gate, and one output path per report.
+#[derive(Debug)]
+struct Args {
+    check: bool,
+    radio_out: String,
+    parallel_out: String,
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut check = false;
+    let mut outs = Vec::new();
+    for arg in args {
+        match arg.as_str() {
+            "--check" => check = true,
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            _ => outs.push(arg),
+        }
+    }
+    if outs.len() > REPORTS.len() {
+        return Err(format!(
+            "{} output paths given, at most {} expected ({})",
+            outs.len(),
+            REPORTS.len(),
+            REPORTS.join(", ")
+        ));
+    }
+    let mut outs = outs.into_iter();
+    let mut next_out = |default: &str| outs.next().unwrap_or_else(|| default.to_string());
+    Ok(Args { check, radio_out: next_out(REPORTS[0]), parallel_out: next_out(REPORTS[1]) })
+}
 
 fn fastest(xs: Vec<f64>) -> f64 {
     xs.into_iter().fold(f64::INFINITY, f64::min)
@@ -135,65 +144,6 @@ fn time_pair_ns(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
     pair_summary(pa, pb)
 }
 
-fn beacon_pv(ca: &CertificateAuthority, addr: u64, x: f64) -> Frame {
-    let pv = geonet::LongPositionVector::from_sim(
-        GnAddress::vehicle(addr),
-        SimTime::from_secs(1),
-        Position::new(x, 2.5),
-        30.0,
-        Heading::EAST,
-        &GeoReference::default(),
-    );
-    let beacon = ca.enroll(GnAddress::vehicle(addr)).sign(GnPacket::beacon(pv));
-    Frame::broadcast(GnAddress::vehicle(addr), Position::new(x, 2.5), beacon)
-}
-
-fn fresh_router(ca: &CertificateAuthority) -> GnRouter {
-    GnRouter::new(
-        ca.enroll(GnAddress::vehicle(1)),
-        ca.verifier(),
-        GnConfig::paper_default(1_283.0),
-        GeoReference::default(),
-    )
-}
-
-/// Simulated seconds each world advances per timed sample; even, so the
-/// first-mover alternation inside a sample splits exactly 50/50, and
-/// small enough that [`SAMPLES`] interleaved samples stay far inside the
-/// horizon.
-const WORLD_SECONDS_PER_SAMPLE: u64 = 4;
-
-/// Best-case ns per simulated second of two same-seed worlds advancing in
-/// interleaved lockstep — the world-level analogue of [`time_pair_ns`],
-/// so traffic growth and frequency drift hit both sides equally.
-fn time_world_pair_ns(a: &mut World, b: &mut World, from_s: u64) -> (f64, f64) {
-    let (mut pa, mut pb) = (Vec::with_capacity(SAMPLES), Vec::with_capacity(SAMPLES));
-    let mut t = from_s;
-    for _ in 0..SAMPLES {
-        let (mut ea, mut eb) = (0u128, 0u128);
-        for s in 1..=WORLD_SECONDS_PER_SAMPLE {
-            // Alternate one-second slices, swapping who goes first each
-            // second: cache state and frequency drift cancel out.
-            let end = SimTime::from_secs(t + s);
-            let (first, second, ef, es) = if s % 2 == 0 {
-                (&mut *a, &mut *b, &mut ea, &mut eb)
-            } else {
-                (&mut *b, &mut *a, &mut eb, &mut ea)
-            };
-            let t0 = Instant::now();
-            first.run_until(end);
-            *ef += t0.elapsed().as_nanos();
-            let t0 = Instant::now();
-            second.run_until(end);
-            *es += t0.elapsed().as_nanos();
-        }
-        pa.push(ea as f64 / WORLD_SECONDS_PER_SAMPLE as f64);
-        pb.push(eb as f64 / WORLD_SECONDS_PER_SAMPLE as f64);
-        t += WORLD_SECONDS_PER_SAMPLE;
-    }
-    pair_summary(pa, pb)
-}
-
 /// Whole-call seconds of two campaign closures, interleaved — one
 /// sample is one full campaign, so far fewer samples than the
 /// nanosecond batches above, summarised through the same
@@ -218,142 +168,14 @@ fn time_campaign_pair_s(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) 
 }
 
 fn main() -> std::process::ExitCode {
-    let mut check = false;
-    let mut outs = Vec::new();
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--check" => check = true,
-            other => outs.push(other.to_string()),
+    let Args { check, radio_out, parallel_out } = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("error: {e}");
+            eprintln!("usage: bench_summary [RADIO_OUT.json] [PARALLEL_OUT.json] [--check]");
+            return std::process::ExitCode::FAILURE;
         }
-    }
-    let out = outs.first().cloned().unwrap_or_else(|| "BENCH_audit.json".to_string());
-    let topo_out = outs.get(1).cloned().unwrap_or_else(|| "BENCH_topo.json".to_string());
-    let radio_out = outs.get(2).cloned().unwrap_or_else(|| "BENCH_radio.json".to_string());
-    let parallel_out = outs.get(3).cloned().unwrap_or_else(|| "BENCH_parallel.json".to_string());
-
-    let ca = CertificateAuthority::new(1);
-    let frame = beacon_pv(&ca, 2, 520.0);
-    let own = Position::new(500.0, 2.5);
-    let at = SimTime::from_secs(1);
-
-    eprintln!("# timing handle_frame variants ({SAMPLES} x {BATCH} iters each)...");
-    // The audit layer hooks the world's traffic step, not the router; a
-    // detached auditor must therefore be the baseline in disguise. The
-    // two sides are timed interleaved so the comparison resolves below
-    // the 2% acceptance threshold.
-    let mut r_base = fresh_router(&ca);
-    let mut r_aud = fresh_router(&ca);
-    let (baseline, auditor_detached) = time_pair_ns(
-        || {
-            black_box(r_base.handle_frame(black_box(&frame), own, at));
-        },
-        || {
-            black_box(r_aud.handle_frame(black_box(&frame), own, at));
-        },
-    );
-    let mut r = fresh_router(&ca);
-    r.set_tracer(Tracer::attached(shared(NullSink)));
-    let tracer_null = time_ns(|| {
-        black_box(r.handle_frame(black_box(&frame), own, at));
-    });
-    let mut r = fresh_router(&ca);
-    r.set_telemetry(Telemetry::attached(shared_registry()));
-    let telemetry = time_ns(|| {
-        black_box(r.handle_frame(black_box(&frame), own, at));
-    });
-
-    eprintln!("# timing audit digest costs...");
-    let mut loaded = fresh_router(&ca);
-    for i in 2..66u64 {
-        let f = beacon_pv(&ca, i, i as f64 * 30.0);
-        loaded.handle_frame(&f, own, at);
-    }
-    let router_digest = time_ns(|| {
-        let mut h = StateHasher::new();
-        loaded.digest_into(&mut h);
-        black_box(h.finish());
-    });
-    let cfg = ScenarioConfig::paper_dsrc_default().with_duration(SimDuration::from_secs(3_600));
-    let mut w = World::new(cfg, None, 42);
-    w.run_until(SimTime::from_secs(5));
-    let mut world_samples = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let t0 = Instant::now();
-        for _ in 0..100 {
-            black_box(w.audit_checkpoint());
-        }
-        world_samples.push(t0.elapsed().as_nanos() as f64 / 100.0);
-    }
-    let world_checkpoint = fastest(world_samples);
-
-    let regression_pct = (auditor_detached - baseline) / baseline * 100.0;
-    let json = format!(
-        "{{\n  \"bench\": \"handle_frame_beacon\",\n  \"samples\": {SAMPLES},\n  \
-         \"batch_iters\": {BATCH},\n  \"baseline_ns\": {baseline:.2},\n  \
-         \"tracer_null_sink_ns\": {tracer_null:.2},\n  \"telemetry_attached_ns\": {telemetry:.2},\n  \
-         \"auditor_detached_ns\": {auditor_detached:.2},\n  \
-         \"auditor_detached_regression_pct\": {regression_pct:.2},\n  \
-         \"audit_router_digest_64_neighbors_ns\": {router_digest:.2},\n  \
-         \"audit_world_checkpoint_ns\": {world_checkpoint:.2}\n}}\n"
-    );
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("error: writing {out}: {e}");
-        return std::process::ExitCode::FAILURE;
-    }
-    print!("{json}");
-    eprintln!("# wrote {out}");
-
-    eprintln!("# timing world step with the topology observer detached vs attached...");
-    // The topology observer hooks the traffic step exactly like the
-    // auditor; its detached state is the world default, so both sides of
-    // the pair run it — the measured divergence is the `due()` branch
-    // plus noise, and must stay under the same 2% bar.
-    let warm = SimTime::from_secs(5);
-    let mut w_base = World::new(cfg, None, 42);
-    let mut w_det = World::new(cfg, None, 42);
-    w_base.run_until(warm);
-    w_det.run_until(warm);
-    let (step_baseline, step_detached) = time_world_pair_ns(&mut w_base, &mut w_det, 5);
-    let mut w_att = World::new(cfg, None, 42);
-    w_att.set_topo_observer(shared_topo(SimDuration::from_secs(5)));
-    w_att.set_topo_destination(Position::new(4_020.0, 0.0));
-    w_att.run_until(warm);
-    let mut att_samples = Vec::with_capacity(SAMPLES);
-    let mut t = 5u64;
-    for _ in 0..SAMPLES {
-        let end = t + WORLD_SECONDS_PER_SAMPLE;
-        let t0 = Instant::now();
-        w_att.run_until(SimTime::from_secs(end));
-        att_samples.push(t0.elapsed().as_nanos() as f64 / WORLD_SECONDS_PER_SAMPLE as f64);
-        t = end;
-    }
-    let step_attached = fastest(att_samples);
-    let mut snap_samples = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let t0 = Instant::now();
-        for _ in 0..100 {
-            black_box(w_att.topo_snapshot());
-        }
-        snap_samples.push(t0.elapsed().as_nanos() as f64 / 100.0);
-    }
-    let world_snapshot = fastest(snap_samples);
-
-    let topo_regression_pct = (step_detached - step_baseline) / step_baseline * 100.0;
-    let topo_json = format!(
-        "{{\n  \"bench\": \"world_step_topo\",\n  \"samples\": {SAMPLES},\n  \
-         \"seconds_per_sample\": {WORLD_SECONDS_PER_SAMPLE},\n  \
-         \"baseline_step_ns\": {step_baseline:.2},\n  \
-         \"topo_detached_step_ns\": {step_detached:.2},\n  \
-         \"topo_detached_regression_pct\": {topo_regression_pct:.2},\n  \
-         \"topo_attached_5s_step_ns\": {step_attached:.2},\n  \
-         \"topo_world_snapshot_ns\": {world_snapshot:.2}\n}}\n"
-    );
-    if let Err(e) = std::fs::write(&topo_out, &topo_json) {
-        eprintln!("error: writing {topo_out}: {e}");
-        return std::process::ExitCode::FAILURE;
-    }
-    print!("{topo_json}");
-    eprintln!("# wrote {topo_out}");
+    };
 
     eprintln!("# timing receiver queries: grid vs linear scan at 30/100/300 m spacing...");
     // The paper's road: 4 km, two lanes, one vehicle per `spacing`
@@ -501,14 +323,6 @@ fn main() -> std::process::ExitCode {
     print!("{parallel_json}");
     eprintln!("# wrote {parallel_out}");
 
-    if check && regression_pct >= 2.0 {
-        eprintln!("error: auditor-detached handle_frame regressed {regression_pct:.2}% (>= 2%)");
-        return std::process::ExitCode::FAILURE;
-    }
-    if check && topo_regression_pct >= 2.0 {
-        eprintln!("error: topo-detached world step regressed {topo_regression_pct:.2}% (>= 2%)");
-        return std::process::ExitCode::FAILURE;
-    }
     if check && !grid_beats_linear_30m {
         eprintln!("error: grid receiver query lost to the linear scan at 30 m spacing");
         return std::process::ExitCode::FAILURE;
@@ -539,4 +353,40 @@ fn main() -> std::process::ExitCode {
         return std::process::ExitCode::FAILURE;
     }
     std::process::ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn defaults_write_both_reports_without_gating() {
+        let a = parse(&[]).expect("no arguments is valid");
+        assert!(!a.check);
+        assert_eq!((a.radio_out.as_str(), a.parallel_out.as_str()), (REPORTS[0], REPORTS[1]));
+    }
+
+    #[test]
+    fn check_gates_and_paths_bind_in_report_order() {
+        let a = parse(&["/tmp/r.json", "--check", "/tmp/p.json"]).expect("valid");
+        assert!(a.check);
+        assert_eq!(a.radio_out, "/tmp/r.json");
+        assert_eq!(a.parallel_out, "/tmp/p.json");
+    }
+
+    #[test]
+    fn rejects_a_mistyped_flag_instead_of_writing_a_file_named_after_it() {
+        let err = parse(&["--chek"]).unwrap_err();
+        assert!(err.contains("unknown flag --chek"), "got: {err}");
+    }
+
+    #[test]
+    fn rejects_more_paths_than_reports() {
+        let err = parse(&["a.json", "b.json", "c.json", "--check"]).unwrap_err();
+        assert!(err.contains("3 output paths"), "got: {err}");
+    }
 }

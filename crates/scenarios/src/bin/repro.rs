@@ -10,8 +10,10 @@
 //!
 //! Experiments: `table1 table2 fig7a fig7b fig7c fig7d fig7e fig8
 //! fig9a fig9b fig9c fig9d fig9e fig9src fig10 fig12a fig12b fig13
-//! fig14a fig14b all`, plus the beyond-the-paper extensions `ext-ack`,
-//! `ext-loss` and `ext-mobile`.
+//! fig14a fig14b` (`all` runs every one of them), the closed-form model
+//! `analysis`, the beyond-the-paper extensions `ext-ack`, `ext-loss` and
+//! `ext-mobile`, and the design-choice sweeps `ablations`. An unknown
+//! name is rejected before anything runs.
 //!
 //! Defaults to a reduced scale (5 runs × 100 s); pass `--runs 100
 //! --duration 200` for the paper's full scale. Every run prints one
@@ -102,6 +104,44 @@ struct Options {
     topology_scenario: TopologyScenario,
     topology_diff: Option<(String, String)>,
     experiments: Vec<String>,
+}
+
+/// Every experiment name `repro` accepts, paired with whether `all`
+/// includes it (the paper's tables and figures, in the order `all` runs
+/// them). The help text, the `all` expansion and the parse-time name
+/// check all read this table; `run_experiment` has one arm per entry.
+const EXPERIMENTS: &[(&str, bool)] = &[
+    ("table1", true),
+    ("table2", true),
+    ("fig7a", true),
+    ("fig7b", true),
+    ("fig7c", true),
+    ("fig7d", true),
+    ("fig7e", true),
+    ("fig8", true),
+    ("fig9a", true),
+    ("fig9b", true),
+    ("fig9c", true),
+    ("fig9d", true),
+    ("fig9e", true),
+    ("fig9src", true),
+    ("fig10", true),
+    ("fig12a", true),
+    ("fig12b", true),
+    ("fig13", true),
+    ("fig14a", true),
+    ("fig14b", true),
+    ("analysis", false),
+    ("ext-ack", false),
+    ("ext-loss", false),
+    ("ext-mobile", false),
+    ("ablations", false),
+];
+
+/// The names of [`EXPERIMENTS`] that `all` does (`true`) or does not
+/// (`false`) include, in table order.
+fn experiment_names(in_all: bool) -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().filter(move |(_, a)| *a == in_all).map(|(name, _)| *name)
 }
 
 /// One CLI flag: its operands, its help line and example operand
@@ -232,14 +272,18 @@ const FLAG_SPECS: &[FlagSpec] = &[
     },
 ];
 
-/// Renders the full `--help` text from [`FLAG_SPECS`].
+/// Renders the full `--help` text from [`EXPERIMENTS`] and [`FLAG_SPECS`].
 fn help_text() -> String {
     use std::fmt::Write as _;
-    let mut out = String::from(
+    let wrap = |names: Vec<&str>| {
+        names.chunks(10).map(|line| line.join(" ")).collect::<Vec<_>>().join("\n    ")
+    };
+    let mut out = format!(
         "usage: repro [flags] <experiment>...\n\
-         experiments: table1 table2 fig7a fig7b fig7c fig7d fig7e fig8 fig9a fig9b\n\
-         \x20   fig9c fig9d fig9e fig9src fig10 fig12a fig12b fig13 fig14a fig14b all\n\
-         \x20   analysis ext-ack ext-loss ext-mobile\n",
+         paper experiments (`all` runs every one):\n    {}\n\
+         other experiments:\n    {}\n",
+        wrap(experiment_names(true).collect()),
+        wrap(experiment_names(false).collect()),
     );
     let mut group = "";
     for s in FLAG_SPECS {
@@ -371,7 +415,12 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Options, String
                 std::process::exit(0);
             }
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
-            other => experiments.push(other.to_string()),
+            other => {
+                if other != "all" && !EXPERIMENTS.iter().any(|(name, _)| *name == other) {
+                    return Err(format!("unknown experiment {other} (try `repro --help`)"));
+                }
+                experiments.push(other.to_string());
+            }
         }
     }
     if experiments.is_empty()
@@ -388,14 +437,7 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Options, String
         return Err("no experiments given (try `repro --help`)".into());
     }
     if experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "table1", "table2", "fig7a", "fig7b", "fig7c", "fig7d", "fig7e", "fig8", "fig9a",
-            "fig9b", "fig9c", "fig9d", "fig9e", "fig9src", "fig10", "fig12a", "fig12b", "fig13",
-            "fig14a", "fig14b",
-        ]
-        .iter()
-        .map(|s| (*s).to_string())
-        .collect();
+        experiments = experiment_names(true).map(str::to_string).collect();
     }
     Ok(Options {
         scale,
@@ -808,7 +850,7 @@ fn print_ab(
 }
 
 #[allow(clippy::too_many_lines)]
-fn run_experiment(opts: &Options, name: &str) -> Result<(), String> {
+fn run_experiment(opts: &Options, name: &str) {
     let scale = opts.scale;
     let seed = opts.seed;
     match name {
@@ -1047,9 +1089,17 @@ fn run_experiment(opts: &Options, name: &str) -> Result<(), String> {
             }
             println!();
         }
-        other => return Err(format!("unknown experiment {other}")),
+        "ablations" => {
+            for (title, rows) in extensions::ablations(scale, seed) {
+                if opts.csv {
+                    print!("{}", to_csv(&rows));
+                } else {
+                    println!("{}", render_table(title, &rows));
+                }
+            }
+        }
+        other => unreachable!("parse_args_from admits only EXPERIMENTS names, got {other}"),
     }
-    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -1068,10 +1118,7 @@ fn main() -> ExitCode {
     );
     for name in opts.experiments.clone() {
         let t0 = std::time::Instant::now();
-        if let Err(e) = run_experiment(&opts, &name) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        run_experiment(&opts, &name);
         progress::experiment_completed(&name, t0.elapsed());
     }
     if opts.trace.is_some() || opts.forensics {
@@ -1240,6 +1287,22 @@ mod tests {
             argv.extend_from_slice(spec.example);
             argv.push("table1");
             assert!(parse(&argv).is_ok(), "parser rejected documented flag {argv:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_unknown_experiment_before_running_any() {
+        let err = parse(&["fig7a", "fig7x"]).unwrap_err();
+        assert!(err.contains("unknown experiment fig7x"), "got: {err}");
+    }
+
+    #[test]
+    fn help_lists_and_parser_accepts_every_experiment() {
+        let help = help_text();
+        for (name, _) in EXPERIMENTS {
+            assert!(help.contains(name), "help is missing {name}:\n{help}");
+            let o = parse(&[name]).expect("listed experiment parses");
+            assert_eq!(o.experiments, vec![(*name).to_string()]);
         }
     }
 
