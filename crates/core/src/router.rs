@@ -20,7 +20,9 @@ use geonet_geo::{Area, GeoReference, Heading, Position};
 use geonet_sim::{
     DropReason, PacketRef, SimDuration, SimRng, SimTime, StateHasher, Telemetry, TraceEvent, Tracer,
 };
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// An action the router asks its host to perform.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,8 +34,8 @@ pub enum RouterAction {
     Deliver {
         /// Which packet was delivered.
         key: PacketKey,
-        /// The application payload.
-        payload: Vec<u8>,
+        /// The application payload, shared with the received packet.
+        payload: Rc<[u8]>,
     },
     /// Schedule a CBF contention timer: after `delay`, call
     /// [`GnRouter::handle_cbf_timer`] with this key and generation.
@@ -463,10 +465,38 @@ impl GnRouter {
 
     /// Processes a frame received from the radio.
     ///
-    /// `position` is the node's own position at reception time.
+    /// `position` is the node's own position at reception time. The
+    /// signature is verified afresh: this is [`GnRouter::receive`] with a
+    /// verdict nobody has filled yet.
     pub fn handle_frame(
         &mut self,
         frame: &Frame,
+        position: Position,
+        now: SimTime,
+    ) -> Vec<RouterAction> {
+        self.receive(frame, &OnceCell::new(), position, now)
+    }
+
+    /// Processes one reception of a transmission shared by many
+    /// receivers, verifying its signature at most once across all of
+    /// them.
+    ///
+    /// `verdict` memoizes [`Verifier::verify`] of `frame.msg`. The first
+    /// receiver whose address filter accepts the frame fills it with its
+    /// own verifier; every later receiver reads it. The memo is sound
+    /// only under two conditions, which the caller upholds:
+    ///
+    /// * the frame is immutable for the lifetime of `verdict`: a
+    ///   rewritten copy (an RHL clamp, a tampered payload) is a new
+    ///   transmission with a fresh cell, never the same one edited;
+    /// * every router that shares the cell verifies against the same
+    ///   certificate authority, so any one of them computes the verdict
+    ///   all of them would. A simulation world issues a single CA to all
+    ///   its nodes.
+    pub fn receive(
+        &mut self,
+        frame: &Frame,
+        verdict: &OnceCell<bool>,
         position: Position,
         now: SimTime,
     ) -> Vec<RouterAction> {
@@ -476,7 +506,7 @@ impl GnRouter {
             return Vec::new();
         }
         // Security: certificate + signature over the protected bytes.
-        if !self.verifier.verify(&frame.msg) {
+        if !*verdict.get_or_init(|| self.verifier.verify(&frame.msg)) {
             self.note(
                 now,
                 TraceEvent::Dropped {
@@ -514,7 +544,7 @@ impl GnRouter {
                 // sequence-numbered keys in reception accounting.
                 vec![RouterAction::Deliver {
                     key: PacketKey { source: pv.addr, sn: SequenceNumber(u16::MAX) },
-                    payload: frame.msg.packet.payload.clone(),
+                    payload: Rc::clone(&frame.msg.packet.payload),
                 }]
             }
             crate::wire::Extended::Tsb { .. } => self.handle_tsb(frame, position, now),
@@ -596,7 +626,10 @@ impl GnRouter {
         if de_pv.addr == self.addr() {
             if self.gf_seen.insert(key) {
                 self.note(now, TraceEvent::Delivered { packet: packet_ref(key) });
-                return vec![RouterAction::Deliver { key, payload: msg.packet.payload.clone() }];
+                return vec![RouterAction::Deliver {
+                    key,
+                    payload: Rc::clone(&msg.packet.payload),
+                }];
             }
             self.note(now, TraceEvent::DuplicateDiscarded { packet: packet_ref(key) });
             return Vec::new();
@@ -679,7 +712,8 @@ impl GnRouter {
             return Vec::new();
         }
         self.note(now, TraceEvent::Delivered { packet: packet_ref(key) });
-        let mut actions = vec![RouterAction::Deliver { key, payload: msg.packet.payload.clone() }];
+        let mut actions = Vec::with_capacity(2);
+        actions.push(RouterAction::Deliver { key, payload: Rc::clone(&msg.packet.payload) });
         let rhl = msg.rhl().saturating_sub(1);
         if rhl > 0 {
             actions.push(RouterAction::Transmit(Frame::broadcast(
@@ -716,8 +750,13 @@ impl GnRouter {
             match verdict {
                 CbfVerdict::FirstCopy { contend } => {
                     self.note(now, TraceEvent::Delivered { packet: packet_ref(key) });
-                    let mut actions =
-                        vec![RouterAction::Deliver { key, payload: msg.packet.payload.clone() }];
+                    // Deliver plus the timer: one allocation, no payload
+                    // copy.
+                    let mut actions = Vec::with_capacity(2);
+                    actions.push(RouterAction::Deliver {
+                        key,
+                        payload: Rc::clone(&msg.packet.payload),
+                    });
                     if let Some((delay, generation)) = contend {
                         self.note(
                             now,
@@ -1230,7 +1269,7 @@ mod tests {
         let got = dst.handle_frame(frame, Position::new(1_400.0, 2.5), NOW);
         assert_eq!(got.len(), 2);
         assert!(
-            matches!(&got[0], RouterAction::Deliver { key: k, payload } if *k == key && payload == &vec![9])
+            matches!(&got[0], RouterAction::Deliver { key: k, payload } if *k == key && **payload == [9])
         );
         match &got[1] {
             RouterAction::CbfTimer { key: k, delay, .. } => {
@@ -1297,7 +1336,7 @@ mod tests {
     fn unicast_for_other_node_ignored() {
         let h = Harness::new();
         let mut a = h.router(1);
-        let b = h.router(2);
+        let mut b = h.router(2);
         let mut c = h.router(3);
         // a learns of b, forwards to b; c overhears but must not process.
         let t = NOW + SimDuration::from_millis(1);
@@ -1312,6 +1351,29 @@ mod tests {
         assert_eq!(f.dst, Some(GnAddress::vehicle(2)));
         assert!(c.handle_frame(f, Position::new(350.0, 0.0), t).is_empty());
         assert_eq!(c.stats(), RouterStats::default());
+        // The address filter runs before verification: an overhearing
+        // node leaves a shared verdict for the addressee to fill.
+        let verdict = OnceCell::new();
+        assert!(c.receive(f, &verdict, Position::new(350.0, 0.0), t).is_empty());
+        assert_eq!(verdict.get(), None);
+        b.receive(f, &verdict, Position::new(400.0, 0.0), t);
+        assert_eq!(verdict.get(), Some(&true));
+    }
+
+    #[test]
+    fn shared_verdict_is_read_not_recomputed() {
+        // The memo is trusted as given: a cell holding `false` rejects even
+        // an authentic frame, which is why a transmission must never be
+        // edited in place once its cell exists.
+        let h = Harness::new();
+        let sender = h.router(1);
+        let mut rx = h.router(2);
+        let beacon = sender.make_beacon(NOW, Position::new(300.0, 0.0), 30.0, Heading::EAST);
+        let verdict = OnceCell::from(false);
+        assert!(rx.receive(&beacon, &verdict, Position::ORIGIN, NOW).is_empty());
+        assert_eq!(rx.stats().auth_failures, 1);
+        rx.handle_frame(&beacon, Position::ORIGIN, NOW);
+        assert_eq!(rx.stats().beacons_accepted, 1);
     }
 
     #[test]
@@ -1570,7 +1632,7 @@ mod tests {
         let actions3 = c.handle_frame(f2, c_pos, t);
         assert!(
             matches!(&actions3[..], [RouterAction::Deliver { key: k, payload }]
-                if *k == key && payload == &vec![0x61]),
+                if *k == key && **payload == [0x61]),
             "{actions3:?}"
         );
         // A replayed copy is not delivered twice.
@@ -1650,7 +1712,7 @@ mod tests {
         assert_eq!(f.msg.rhl(), 1);
         let got = rx.handle_frame(f, Position::ORIGIN, NOW);
         assert_eq!(got.len(), 1);
-        assert!(matches!(&got[0], RouterAction::Deliver { payload, .. } if payload == &vec![0xCA]));
+        assert!(matches!(&got[0], RouterAction::Deliver { payload, .. } if **payload == [0xCA]));
         // The SHB source is a genuine neighbour: LocT updated.
         let e = rx.loct().get(GnAddress::vehicle(1), NOW).expect("LocT entry");
         assert!(e.position.distance(Position::new(250.0, 0.0)) < 0.05);

@@ -21,19 +21,67 @@
 //! a `Verifier` at most — never `Credentials` — mirroring the paper's
 //! outsider attacker.
 
-use crate::wire::GnPacket;
+use crate::wire::{GnPacket, RHL_OFFSET};
 use crate::GnAddress;
+use bytes::BufMut;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// FNV-1a 64-bit hash.
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// FNV-1a 64-bit hash — the reference the streamed digest is tested
+/// against.
+#[cfg(test)]
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// An FNV-1a sink for [`GnPacket::encode_into`] that hashes the bytes as
+/// they are written, with the RHL byte zeroed: the digest of
+/// [`GnPacket::encode_protected`] without building it.
+struct ProtectedDigest {
+    hash: u64,
+    offset: usize,
+}
+
+impl ProtectedDigest {
+    fn of(packet: &GnPacket) -> u64 {
+        let mut sink = ProtectedDigest { hash: FNV_OFFSET, offset: 0 };
+        packet.encode_into(&mut sink);
+        sink.hash
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            let b = if self.offset == RHL_OFFSET { 0 } else { b };
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            self.offset += 1;
+        }
+    }
+}
+
+impl BufMut for ProtectedDigest {
+    fn put_u8(&mut self, v: u8) {
+        self.bytes(&[v]);
+    }
+    fn put_u16(&mut self, v: u16) {
+        self.bytes(&v.to_be_bytes());
+    }
+    fn put_u32(&mut self, v: u32) {
+        self.bytes(&v.to_be_bytes());
+    }
+    fn put_u64(&mut self, v: u64) {
+        self.bytes(&v.to_be_bytes());
+    }
+    fn put_slice(&mut self, src: &[u8]) {
+        self.bytes(src);
+    }
 }
 
 /// A keyed PRF built from splitmix64-style mixing — stands in for the
@@ -84,10 +132,11 @@ impl Credentials {
     /// Signs a packet, producing a [`SecuredPacket`].
     ///
     /// The signature covers [`GnPacket::encode_protected`] — everything
-    /// except the RHL byte, which forwarders rewrite in flight.
+    /// except the RHL byte, which forwarders rewrite in flight. The bytes
+    /// are hashed as they stream out of the encoder; nothing is buffered.
     #[must_use]
     pub fn sign(&self, packet: GnPacket) -> SecuredPacket {
-        let digest = fnv1a(&packet.encode_protected());
+        let digest = ProtectedDigest::of(&packet);
         let signature = prf(self.signing_key, digest);
         SecuredPacket { packet, signer: self.certificate, signature }
     }
@@ -144,13 +193,13 @@ impl Verifier {
     }
 
     /// Verifies a secured packet: certificate validity plus the signature
-    /// over the integrity-covered bytes.
+    /// over the integrity-covered bytes. Allocates nothing.
     #[must_use]
     pub fn verify(&self, msg: &SecuredPacket) -> bool {
         if !self.certificate_valid(&msg.signer) {
             return false;
         }
-        let digest = fnv1a(&msg.packet.encode_protected());
+        let digest = ProtectedDigest::of(&msg.packet);
         let expected = prf(prf(self.secret, msg.signer.subject.to_u64() ^ 0x5167), digest);
         msg.signature == expected
     }
@@ -214,6 +263,7 @@ mod tests {
     use crate::types::SequenceNumber;
     use geonet_geo::{Area, GeoReference, Heading, Position};
     use geonet_sim::SimTime;
+    use proptest::prelude::*;
 
     fn setup() -> (CertificateAuthority, Credentials, SecuredPacket) {
         let ca = CertificateAuthority::new(0xDEAD_BEEF);
@@ -242,7 +292,9 @@ mod tests {
     #[test]
     fn tampered_payload_fails_verification() {
         let (ca, _, mut msg) = setup();
-        msg.packet.payload[0] ^= 1;
+        let mut payload = msg.packet.payload.to_vec();
+        payload[0] ^= 1;
+        msg.packet.payload = payload.into();
         assert!(!ca.verifier().verify(&msg));
     }
 
@@ -263,7 +315,7 @@ mod tests {
     fn with_packet_models_tampering() {
         let (ca, _, msg) = setup();
         let mut altered = msg.packet.clone();
-        altered.payload[0] ^= 0xFF;
+        altered.payload = msg.packet.payload.iter().map(|b| b ^ 0xFF).collect();
         let tampered = msg.with_packet(altered);
         assert!(!ca.verifier().verify(&tampered));
         // Replacing with an identical packet keeps it valid.
@@ -332,6 +384,51 @@ mod tests {
         let b = creds.sign(GnPacket::beacon(pv));
         assert!(ca.verifier().verify(&b));
         assert_eq!(b.rhl(), 1);
+    }
+
+    /// One packet of each of the five kinds, with `payload` (beacons
+    /// carry none) and `rhl` written into the basic header.
+    fn packet_of_kind(kind: usize, payload: Vec<u8>, rhl: u8) -> GnPacket {
+        let r = GeoReference::default();
+        let pv = |addr| {
+            LongPositionVector::from_sim(
+                GnAddress::vehicle(addr),
+                SimTime::from_secs(3),
+                Position::new(250.0, -2.5),
+                -12.5,
+                Heading::WEST,
+                &r,
+            )
+        };
+        let area = Area::ellipse(Position::new(900.0, 0.0), 300.0, 40.0, 45.0);
+        let sn = SequenceNumber(u16::from(rhl) * 7);
+        let de = crate::wire::ShortPositionVector::from_long(&pv(8));
+        let mut p = match kind {
+            0 => GnPacket::beacon(pv(1)),
+            1 => GnPacket::geounicast(sn, pv(2), de, payload, 10),
+            2 => GnPacket::geobroadcast(sn, pv(3), &area, &r, payload, 10),
+            3 => GnPacket::topo_broadcast(sn, pv(4), payload, 5),
+            _ => GnPacket::single_hop_broadcast(pv(5), payload),
+        };
+        p.basic.rhl = rhl;
+        p
+    }
+
+    proptest! {
+        #[test]
+        fn streamed_digest_matches_the_buffered_encoding(
+            kind in 0usize..5,
+            rhl in 0u8..=255,
+            payload in prop::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let p = packet_of_kind(kind, payload, rhl);
+            prop_assert_eq!(ProtectedDigest::of(&p), fnv1a(&p.encode_protected()));
+            // The RHL byte is the only one left out.
+            let mut q = p.clone();
+            q.basic.rhl = rhl.wrapping_add(1);
+            prop_assert_eq!(ProtectedDigest::of(&q), ProtectedDigest::of(&p));
+            prop_assert_ne!(fnv1a(&q.encode()), fnv1a(&p.encode()));
+        }
     }
 
     #[test]

@@ -56,6 +56,10 @@ pub struct BasicHeader {
 /// Wire size of the basic header.
 pub(crate) const BASIC_LEN: usize = 4;
 
+/// Offset of the RHL byte within the encoded packet (the basic header's
+/// last byte) — the one byte the integrity envelope does not cover.
+pub(crate) const RHL_OFFSET: usize = 3;
+
 impl BasicHeader {
     /// The protocol version this stack implements.
     pub const VERSION: u8 = 1;
@@ -67,7 +71,7 @@ impl BasicHeader {
     }
 
     /// Encodes into `out` (4 bytes).
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode<B: BufMut>(&self, out: &mut B) {
         out.put_u8((self.version << 4) | self.next_header.code());
         out.put_u8(0); // reserved
         out.put_u8(self.lifetime);
@@ -180,7 +184,7 @@ impl CommonHeader {
     }
 
     /// Encodes into `out` (8 bytes).
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode<B: BufMut>(&self, out: &mut B) {
         let (ht, hst) = self.kind.type_subtype();
         out.put_u8(0x10); // next header: "any" transport, reserved nibble
         out.put_u8((ht << 4) | hst);

@@ -17,6 +17,7 @@
 mod headers;
 mod packet;
 
+pub(crate) use headers::RHL_OFFSET;
 pub use headers::{BasicHeader, CommonHeader, HeaderKind, NextAfterBasic};
 pub use packet::{Extended, GbcHeader, GnPacket, GucHeader, ShortPositionVector, WireArea};
 

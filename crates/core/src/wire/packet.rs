@@ -1,18 +1,19 @@
 //! The extended headers and the assembled GeoNetworking packet.
 
-use super::headers::{BASIC_LEN, COMMON_LEN};
+use super::headers::{BASIC_LEN, COMMON_LEN, RHL_OFFSET};
 use super::{BasicHeader, CommonHeader, HeaderKind, NextAfterBasic, WireError};
 use crate::pv::LongPositionVector;
 use crate::types::{GnAddress, SequenceNumber, Timestamp};
 use bytes::BufMut;
 use geonet_geo::{Area, AreaShape, GeoCoord, GeoReference};
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 
 /// Wire size of a long position vector.
 const LPV_LEN: usize = 24;
 
 /// Encodes a long position vector (24 bytes).
-fn encode_lpv(pv: &LongPositionVector, out: &mut Vec<u8>) {
+fn encode_lpv<B: BufMut>(pv: &LongPositionVector, out: &mut B) {
     out.put_u64(pv.addr.to_u64());
     out.put_u32(pv.timestamp.0);
     out.put_i32(pv.coord.lat);
@@ -71,7 +72,7 @@ impl ShortPositionVector {
         ShortPositionVector { addr: pv.addr, timestamp: pv.timestamp, coord: pv.coord }
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<B: BufMut>(&self, out: &mut B) {
         out.put_u64(self.addr.to_u64());
         out.put_u32(self.timestamp.0);
         out.put_i32(self.coord.lat);
@@ -151,7 +152,7 @@ impl WireArea {
         })
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<B: BufMut>(&self, out: &mut B) {
         out.put_i32(self.center.lat);
         out.put_i32(self.center.lon);
         out.put_u16(self.dist_a);
@@ -253,10 +254,25 @@ impl Extended {
             Extended::Gbc(g) => &g.so_pv,
         }
     }
+
+    /// Wire size of this extended header.
+    fn wire_len(&self) -> usize {
+        match self {
+            Extended::Beacon { .. } => BEACON_LEN,
+            Extended::Guc(_) => GUC_LEN,
+            Extended::Gbc(_) => GBC_LEN,
+            Extended::Tsb { .. } => TSB_LEN,
+            Extended::Shb { .. } => SHB_LEN,
+        }
+    }
 }
 
 /// A complete GeoNetworking packet: basic + common + extended header and
 /// payload.
+///
+/// The payload is shared and immutable, so cloning a packet (an RHL
+/// rewrite, a CBF buffer entry, a delivery to the application) never
+/// copies it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GnPacket {
     /// Basic header (holds the mutable RHL).
@@ -266,7 +282,7 @@ pub struct GnPacket {
     /// Extended header.
     pub extended: Extended,
     /// Application payload (empty for beacons).
-    pub payload: Vec<u8>,
+    pub payload: Rc<[u8]>,
 }
 
 impl GnPacket {
@@ -277,7 +293,7 @@ impl GnPacket {
             basic: BasicHeader::new(NextAfterBasic::SecuredPacket, 1),
             common: CommonHeader::new(HeaderKind::Beacon, 0, 1),
             extended: Extended::Beacon { so_pv },
-            payload: Vec::new(),
+            payload: Rc::from([]),
         }
     }
 
@@ -310,7 +326,7 @@ impl GnPacket {
                 so_pv,
                 area: WireArea::from_area(area, reference),
             }),
-            payload,
+            payload: payload.into(),
         }
     }
 
@@ -332,7 +348,7 @@ impl GnPacket {
             basic: BasicHeader::new(NextAfterBasic::SecuredPacket, max_hop_limit),
             common: CommonHeader::new(HeaderKind::GeoUnicast, len, max_hop_limit),
             extended: Extended::Guc(GucHeader { sn, so_pv, de_pv }),
-            payload,
+            payload: payload.into(),
         }
     }
 
@@ -353,7 +369,7 @@ impl GnPacket {
             basic: BasicHeader::new(NextAfterBasic::SecuredPacket, max_hop_limit),
             common: CommonHeader::new(HeaderKind::TopoBroadcast, len, max_hop_limit),
             extended: Extended::Tsb { sn, so_pv },
-            payload,
+            payload: payload.into(),
         }
     }
 
@@ -369,7 +385,7 @@ impl GnPacket {
             basic: BasicHeader::new(NextAfterBasic::SecuredPacket, 1),
             common: CommonHeader::new(HeaderKind::SingleHopBroadcast, len, 1),
             extended: Extended::Shb { so_pv },
-            payload,
+            payload: payload.into(),
         }
     }
 
@@ -406,38 +422,52 @@ impl GnPacket {
         gbc.area.to_area(shape, reference)
     }
 
-    /// Encodes the full packet to wire bytes.
+    /// Length of the wire encoding, computed from the header kind and
+    /// the payload without encoding anything.
     #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(BASIC_LEN + COMMON_LEN + GBC_LEN + self.payload.len());
-        self.basic.encode(&mut out);
-        self.common.encode(&mut out);
+    pub fn wire_len(&self) -> usize {
+        BASIC_LEN + COMMON_LEN + self.extended.wire_len() + self.payload.len()
+    }
+
+    /// Streams the wire encoding into `out`, field by field. The one
+    /// description of the layout: [`GnPacket::encode`] writes it into a
+    /// `Vec`, and the security envelope hashes it without buffering.
+    pub fn encode_into<B: BufMut>(&self, out: &mut B) {
+        self.basic.encode(out);
+        self.common.encode(out);
         match &self.extended {
-            Extended::Beacon { so_pv } => encode_lpv(so_pv, &mut out),
+            Extended::Beacon { so_pv } => encode_lpv(so_pv, out),
             Extended::Guc(g) => {
                 out.put_u16(g.sn.0);
                 out.put_u16(0); // reserved
-                encode_lpv(&g.so_pv, &mut out);
-                g.de_pv.encode(&mut out);
+                encode_lpv(&g.so_pv, out);
+                g.de_pv.encode(out);
             }
             Extended::Gbc(g) => {
                 out.put_u16(g.sn.0);
                 out.put_u16(0); // reserved
-                encode_lpv(&g.so_pv, &mut out);
-                g.area.encode(&mut out);
+                encode_lpv(&g.so_pv, out);
+                g.area.encode(out);
                 out.put_u16(0); // reserved
             }
             Extended::Tsb { sn, so_pv } => {
                 out.put_u16(sn.0);
                 out.put_u16(0); // reserved
-                encode_lpv(so_pv, &mut out);
+                encode_lpv(so_pv, out);
             }
             Extended::Shb { so_pv } => {
-                encode_lpv(so_pv, &mut out);
+                encode_lpv(so_pv, out);
                 out.put_u32(0); // media-dependent data
             }
         }
-        out.extend_from_slice(&self.payload);
+        out.put_slice(&self.payload);
+    }
+
+    /// Encodes the full packet to wire bytes.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.encode_into(&mut out);
         out
     }
 
@@ -450,7 +480,7 @@ impl GnPacket {
     #[must_use]
     pub fn encode_protected(&self) -> Vec<u8> {
         let mut bytes = self.encode();
-        bytes[3] = 0; // RHL is the 4th byte of the basic header
+        bytes[RHL_OFFSET] = 0;
         bytes
     }
 
@@ -511,7 +541,7 @@ impl GnPacket {
         if present != declared {
             return Err(WireError::PayloadLengthMismatch { declared, present });
         }
-        Ok(GnPacket { basic, common, extended, payload: buf[off..].to_vec() })
+        Ok(GnPacket { basic, common, extended, payload: buf[off..].into() })
     }
 }
 
@@ -713,6 +743,7 @@ mod tests {
                 &GeoReference::default(),
             );
             let p = GnPacket::beacon(pv);
+            prop_assert_eq!(p.encode().len(), p.wire_len());
             prop_assert_eq!(GnPacket::decode(&p.encode()).unwrap(), p);
         }
 
@@ -725,6 +756,7 @@ mod tests {
             let mut p = GnPacket::geobroadcast(
                 SequenceNumber(sn), sample_pv(1), &area, &r, payload, 10);
             p.basic.rhl = rhl;
+            prop_assert_eq!(p.encode().len(), p.wire_len());
             prop_assert_eq!(GnPacket::decode(&p.encode()).unwrap(), p);
         }
 
@@ -743,6 +775,7 @@ mod tests {
                 1 => GnPacket::topo_broadcast(SequenceNumber(sn), sample_pv(1), payload, 10),
                 _ => GnPacket::single_hop_broadcast(sample_pv(1), payload),
             };
+            prop_assert_eq!(p.encode().len(), p.wire_len());
             prop_assert_eq!(GnPacket::decode(&p.encode()).unwrap(), p);
         }
 

@@ -8,6 +8,7 @@ use geonet::{CertificateAuthority, Frame, GnAddress, GnConfig, GnRouter, RouterA
 use geonet_geo::{Area, GeoReference, Heading, Position};
 use geonet_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::cell::OnceCell;
 
 fn router(ca: &CertificateAuthority, mid: u64) -> GnRouter {
     GnRouter::new(
@@ -40,8 +41,80 @@ fn frame_pool(ca: &CertificateAuthority, now: SimTime) -> Vec<Frame> {
     frames
 }
 
+/// A new transmission derived from an authentic one by an outsider:
+/// 0 verbatim replay, 1 RHL rewrite, 2 single-bit tamper (`None` when
+/// the flipped bytes no longer decode), 3 re-signed by a foreign CA's
+/// member, 4 the signer's certificate swapped for a foreign one.
+fn derive(
+    base: &Frame,
+    foreign: &CertificateAuthority,
+    how: usize,
+    rhl: u8,
+    bit: usize,
+) -> Option<Frame> {
+    let msg = match how {
+        0 => base.msg.clone(),
+        1 => base.msg.with_rhl(rhl),
+        2 => {
+            let mut bytes = base.msg.packet.encode();
+            let bit = bit % (bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            base.msg.with_packet(GnPacket::decode(&bytes).ok()?)
+        }
+        3 => foreign.enroll(base.msg.signer.subject).sign(base.msg.packet.clone()),
+        _ => {
+            let mut msg = base.msg.clone();
+            msg.signer = foreign.enroll(msg.signer.subject).certificate();
+            msg
+        }
+    };
+    Some(Frame { msg, ..base.clone() })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn memoized_verdict_matches_a_fresh_verify(
+        choices in prop::collection::vec(
+            (0usize..64, 0usize..5, 0u8..=255, 0usize..1_024), 1..40))
+    {
+        // Two receivers share each transmission's verdict cell, as every
+        // receiver of one broadcast does in a world; their twins verify
+        // every frame afresh through `handle_frame`. The original is on the
+        // air and verified first; the outsider's derivative is a new
+        // transmission with a cell of its own.
+        let ca = CertificateAuthority::new(99);
+        let foreign = CertificateAuthority::new(0xF0F0);
+        let verifier = ca.verifier();
+        let t0 = SimTime::from_secs(1);
+        let pool = frame_pool(&ca, t0);
+        let pos = Position::new(600.0, 2.5);
+        let mut memo = [router(&ca, 77), router(&ca, 78)];
+        let mut fresh = [router(&ca, 77), router(&ca, 78)];
+        for (idx, how, rhl, bit) in choices {
+            let base = &pool[idx % pool.len()];
+            let original = OnceCell::new();
+            for (m, f) in memo.iter_mut().zip(&mut fresh) {
+                let got = m.receive(base, &original, pos, t0);
+                prop_assert_eq!(got, f.handle_frame(base, pos, t0));
+            }
+            prop_assert_eq!(original.get(), Some(&true));
+            let Some(derived) = derive(base, &foreign, how, rhl, bit) else { continue };
+            let cell = OnceCell::new();
+            for (m, f) in memo.iter_mut().zip(&mut fresh) {
+                let got = m.receive(&derived, &cell, pos, t0);
+                prop_assert_eq!(got, f.handle_frame(&derived, pos, t0));
+                prop_assert_eq!(m.stats().auth_failures, f.stats().auth_failures);
+                prop_assert_eq!(m.stats(), f.stats());
+            }
+            prop_assert_eq!(cell.get().copied(), Some(verifier.verify(&derived.msg)));
+            prop_assert_eq!(original.get(), Some(&true), "the original's verdict is untouched");
+            if how >= 3 {
+                prop_assert_eq!(cell.get(), Some(&false), "foreign signatures never verify");
+            }
+        }
+    }
 
     #[test]
     fn router_survives_arbitrary_frame_streams(

@@ -13,7 +13,9 @@ use geonet_sim::{
     TraceEvent, Tracer, UnorderedDigest,
 };
 use geonet_traffic::{Direction, TrafficSim, VehicleId};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// What a radio node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +29,25 @@ pub enum NodeKind {
     Attacker,
 }
 
+/// One transmission on the air, shared by every delivery of it.
+///
+/// The frame is never edited once sent: a rewrite (the attacker's RHL
+/// clamp, a forwarder's decrement) is a new transmission with an empty
+/// verdict. The verdict memoizes the signature check for all receivers
+/// (see [`GnRouter::receive`]), which is sound because every router of a
+/// world verifies against the world's one certificate authority.
+#[derive(Debug)]
+struct OnAir {
+    frame: Frame,
+    verdict: OnceCell<bool>,
+}
+
+impl OnAir {
+    fn new(frame: Frame) -> Rc<Self> {
+        Rc::new(OnAir { frame, verdict: OnceCell::new() })
+    }
+}
+
 /// Events driving the world.
 #[derive(Debug, Clone)]
 enum Ev {
@@ -34,12 +55,12 @@ enum Ev {
     TrafficStep,
     /// A node's beacon is due.
     Beacon(NodeId),
-    /// A frame arrives at a node's radio.
-    Deliver { to: NodeId, frame: Frame },
+    /// A transmission arrives at a node's radio.
+    Deliver { to: NodeId, tx: Rc<OnAir> },
     /// A CBF contention timer fires.
     CbfTimer { node: NodeId, key: PacketKey, generation: u64 },
     /// The attacker's replay leaves its transmitter.
-    AttackerTx { frame: Frame, cap: Option<f64> },
+    AttackerTx { tx: Rc<OnAir>, cap: Option<f64> },
     /// A greedy unicast's link-layer acknowledgement window elapsed
     /// without an ACK (only with the link-ack extension).
     AckTimeout { node: NodeId, key: PacketKey },
@@ -655,7 +676,7 @@ impl World {
         match ev {
             Ev::TrafficStep => self.on_traffic_step(),
             Ev::Beacon(node) => self.on_beacon(node),
-            Ev::Deliver { to, frame } => self.on_deliver(to, frame),
+            Ev::Deliver { to, tx } => self.on_deliver(to, &tx),
             Ev::CbfTimer { node, key, generation } => {
                 let now = self.kernel.now();
                 if !self.medium.is_active(node) {
@@ -666,9 +687,9 @@ impl World {
                 let actions = router.handle_cbf_timer(key, generation, position, now);
                 self.execute(node, actions);
             }
-            Ev::AttackerTx { frame, cap } => {
+            Ev::AttackerTx { tx, cap } => {
                 if let Some(node) = self.attacker_node {
-                    self.transmit(node, frame, cap);
+                    self.transmit(node, tx, cap);
                 }
             }
             Ev::GfRetry { node, key } => {
@@ -776,7 +797,7 @@ impl World {
             let router = self.routers[node.index()].as_ref().expect("beacons from routers");
             router.make_beacon(now, position, speed, heading)
         };
-        self.transmit(node, frame, None);
+        self.transmit(node, OnAir::new(frame), None);
         let delay = {
             let rng = &mut self.rngs[node.index()];
             let router = self.routers[node.index()].as_ref().expect("router");
@@ -785,8 +806,9 @@ impl World {
         self.kernel.schedule_in(delay, Ev::Beacon(node));
     }
 
-    fn on_deliver(&mut self, to: NodeId, frame: Frame) {
+    fn on_deliver(&mut self, to: NodeId, tx: &OnAir) {
         let now = self.kernel.now();
+        let frame = &tx.frame;
         if Some(to) == self.attacker_node {
             let key = PacketKey::of(&frame.msg);
             self.tracer.for_node(to.0).emit(now, || TraceEvent::FrameRx {
@@ -795,14 +817,14 @@ impl World {
                 beacon: key.is_none(),
             });
             let order = match (&mut self.inter_attacker, &mut self.intra_attacker) {
-                (Some(a), _) => a.on_sniff(&frame, now),
-                (_, Some(a)) => a.on_sniff(&frame, now),
+                (Some(a), _) => a.on_sniff(frame, now),
+                (_, Some(a)) => a.on_sniff(frame, now),
                 (None, None) => None,
             };
             if let Some(order) = order {
                 self.kernel.schedule_in(
                     order.delay,
-                    Ev::AttackerTx { frame: order.frame, cap: order.range_cap },
+                    Ev::AttackerTx { tx: OnAir::new(order.frame), cap: order.range_cap },
                 );
             }
             return;
@@ -818,14 +840,14 @@ impl World {
         });
         let position = self.medium.position(to);
         let router = self.routers[to.index()].as_mut().expect("legitimate node");
-        let actions = router.handle_frame(&frame, position, now);
+        let actions = router.receive(frame, &tx.verdict, position, now);
         self.execute(to, actions);
     }
 
     fn execute(&mut self, node: NodeId, actions: Vec<RouterAction>) {
         for action in actions {
             match action {
-                RouterAction::Transmit(frame) => self.transmit(node, frame, None),
+                RouterAction::Transmit(frame) => self.transmit(node, OnAir::new(frame), None),
                 RouterAction::Deliver { key, .. } => {
                     self.received.entry(key).or_default().insert(node);
                 }
@@ -839,19 +861,20 @@ impl World {
         }
     }
 
-    /// Puts a frame on the air from `node`, delivering it to every active
-    /// node within range (optionally power-capped) after the propagation
-    /// delay.
+    /// Puts a transmission on the air from `node`, delivering it to every
+    /// active node within range (optionally power-capped) after the
+    /// propagation delay. Every delivery shares the one transmission.
     ///
     /// The attacker↔vehicle link is special-cased: the paper's attacker
     /// sits elevated at the roadside with line of sight ("at street light
     /// poles ... to make LoS communication with more on-road vehicles"),
     /// so it hears — and is heard by — nodes within the *attack range*,
     /// independent of the vehicles' NLoS range.
-    fn transmit(&mut self, from: NodeId, frame: Frame, cap: Option<f64>) {
+    fn transmit(&mut self, from: NodeId, tx: Rc<OnAir>, cap: Option<f64>) {
         let _span = self.telemetry.time("radio_broadcast_ns");
+        let frame = &tx.frame;
         self.frames_on_air += 1;
-        let wire_bytes = frame.msg.packet.encode().len() as u64;
+        let wire_bytes = frame.msg.packet.wire_len() as u64;
         self.bytes_on_air += wire_bytes;
         self.telemetry.add("frames_on_air_total", 1);
         self.telemetry.add("bytes_on_air_total", wire_bytes);
@@ -916,7 +939,7 @@ impl World {
         }
         for &rx in &receivers {
             let delay = self.medium.propagation_delay(from, rx);
-            self.kernel.schedule_in(delay, Ev::Deliver { to: rx, frame: frame.clone() });
+            self.kernel.schedule_in(delay, Ev::Deliver { to: rx, tx: Rc::clone(&tx) });
         }
         receivers.clear();
         self.rx_buf = receivers;
@@ -1186,6 +1209,13 @@ mod tests {
         for pair in rec.entries().windows(2) {
             assert!(pair[1].at - pair[0].at >= SimDuration::from_secs(1));
         }
+    }
+
+    #[test]
+    fn events_stay_small() {
+        // Every delivery of a broadcast sits in the event heap; frames
+        // travel behind a shared pointer so the heap moves small entries.
+        assert!(std::mem::size_of::<Ev>() <= 48, "Ev is {} B", std::mem::size_of::<Ev>());
     }
 
     #[test]

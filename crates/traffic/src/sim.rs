@@ -59,6 +59,13 @@ pub struct TrafficSim {
     elapsed: f64,
     tracer: Tracer,
     telemetry: Telemetry,
+    /// Per-lane scratch lists of active vehicle indices, one slot per
+    /// (direction, lane) in stepping order (see [`TrafficSim::lane_slot`]),
+    /// kept across steps so that stepping allocates nothing in steady
+    /// state.
+    lane_members: Vec<Vec<usize>>,
+    /// Scratch accelerations of the lane being stepped.
+    accels: Vec<f64>,
 }
 
 impl TrafficSim {
@@ -81,6 +88,8 @@ impl TrafficSim {
             elapsed: 0.0,
             tracer: Tracer::disabled(),
             telemetry: Telemetry::disabled(),
+            lane_members: Vec::new(),
+            accels: Vec::new(),
         };
         sim.prefill();
         sim
@@ -261,6 +270,13 @@ impl TrafficSim {
             .min_by(|a, b| a.partial_cmp(b).expect("hazard positions are finite"))
     }
 
+    /// The scratch slot of a lane: eastbound before westbound, lanes
+    /// ascending within a direction — the order lanes are stepped in.
+    fn lane_slot(&self, direction: Direction, lane: u8) -> usize {
+        usize::from(direction_code(direction)) * usize::from(self.road.lanes_per_direction)
+            + usize::from(lane)
+    }
+
     /// Advances the simulation by `dt` seconds (the paper uses 0.1 s).
     ///
     /// # Panics
@@ -272,25 +288,26 @@ impl TrafficSim {
         self.elapsed += dt;
 
         // Group active vehicle indices per (direction, lane), sorted by
-        // longitudinal position descending (leader first).
-        let mut lanes: HashMap<(Direction, u8), Vec<usize>> = HashMap::new();
+        // longitudinal position descending (leader first; the sort is
+        // stable, so ties keep index order).
+        let mut lanes = std::mem::take(&mut self.lane_members);
+        // Sized on the first step rather than in `new`, so that building a
+        // simulation allocates nothing extra.
+        lanes.resize_with(2 * usize::from(self.road.lanes_per_direction), Vec::new);
+        let mut accels = std::mem::take(&mut self.accels);
         for (i, v) in self.vehicles.iter().enumerate() {
             if !v.exited {
-                lanes.entry((v.direction, v.lane)).or_default().push(i);
+                lanes[self.lane_slot(v.direction, v.lane)].push(i);
             }
         }
-        // Deterministic iteration: sort the lane keys.
-        let mut keys: Vec<(Direction, u8)> = lanes.keys().copied().collect();
-        keys.sort_by_key(|&(d, l)| (d == Direction::West, l));
 
-        for key in keys {
-            let mut idxs = lanes.remove(&key).expect("key from map");
+        for idxs in &mut lanes {
             idxs.sort_by(|&a, &b| {
                 self.vehicles[b].s.partial_cmp(&self.vehicles[a].s).expect("positions are finite")
             });
             // Compute accelerations against the current (pre-update) state,
             // then integrate — a synchronous update, standard for IDM.
-            let mut accels = Vec::with_capacity(idxs.len());
+            accels.clear();
             for (rank, &i) in idxs.iter().enumerate() {
                 let v = &self.vehicles[i];
                 let leader_gap = if rank == 0 {
@@ -334,7 +351,10 @@ impl TrafficSim {
                 veh.s += (veh.v + v_new) / 2.0 * dt;
                 veh.v = v_new;
             }
+            idxs.clear();
         }
+        self.lane_members = lanes;
+        self.accels = accels;
 
         // Exits: the vehicle has driven past the off-road margin and can
         // no longer matter to anything on the segment.
@@ -346,8 +366,7 @@ impl TrafficSim {
         }
 
         // Entries.
-        let directions: Vec<Direction> = self.road.directions().to_vec();
-        for direction in directions {
+        for &direction in self.road.directions() {
             self.try_spawn(direction);
         }
     }
